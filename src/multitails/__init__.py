@@ -14,15 +14,17 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .kernels import (
+    FRAMES,
+    FrameMap,
     Kernel,
     LevelDistribution,
     MomentSummary,
-    chi_square_centered_fn,
+    frame_map,
     g_second_moment_aggregates,
-    kernel_mean_fn,
     level_tau,
     moment_summary,
     parse_kernel_spec,
+    resolve_frame,
     statistic_value,
     tau_sparse_approx,
     unfilled_sparse_expansion,
@@ -55,7 +57,6 @@ from .oracle import (
     multinomial_log_pmf,
     multinomial_pmf,
     nu_n_constant,
-    sample_counts,
 )
 from .poisson import (
     CentralMomentTable,

@@ -26,8 +26,10 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .kernels import (
+    FRAMES,
     Kernel,
     LevelDistribution,
+    frame_map,
     g_second_moment_aggregates,
     moment_summary,
     parse_kernel_spec,
@@ -130,14 +132,21 @@ def _cmd_moments(args) -> int:
     }
     if kernel.family == "pds":
         # The raw power-sum and the calibrated divergence scalings are two
-        # affine frames of the same statistic; report both.  A frame a
-        # closed form cannot reach is reported as such, not fatal.
+        # affine frames of the same statistic; report both, mapped from the
+        # summary at hand where an exact map exists.  Closed forms are
+        # stated per frame, so that route asks for each frame itself; a
+        # frame it cannot reach is reported as such, not fatal.
         frames = {}
         for frame in ("power", "divergence"):
+            fmap = None
+            if args.method != "closed_form":
+                fmap = frame_map(model, kernel, summary.frame, frame)
             try:
-                frames[frame] = moment_summary(
-                    model, kernel, method=args.method, frame=frame
-                ).to_dict()
+                if fmap is None:
+                    derived = moment_summary(model, kernel, method=args.method, frame=frame)
+                else:
+                    derived = fmap.summary(summary, model.n, frame)
+                frames[frame] = derived.to_dict()
             except UnsupportedCombinationError as exc:
                 frames[frame] = {"error": str(exc)}
         payload["frames"] = frames
@@ -463,7 +472,7 @@ def _add_kernel_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--frame",
-        choices=("canonical", "power", "bare", "divergence"),
+        choices=FRAMES,
         default="canonical",
         help="kernel form for the power-divergence family",
     )

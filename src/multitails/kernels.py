@@ -11,12 +11,18 @@ A moment summary collects the quantities that drive the corrected normal
 tail approximation: the Poissonized mean, the regression coefficient of
 the statistic on the total count, raw and regression-adjusted variances,
 and third/fourth moment sums of the adjusted per-cell kernels.
+
+Frames and families that differ by an exact per-cell affine map share one
+frame algebra: FrameMap carries a summary, a statistic value and the
+order-2 aggregates across such a map, and resolve_frame / frame_map are
+the only code that knows which statistic is an image of which.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +39,10 @@ __all__ = [
     "Kernel",
     "LevelDistribution",
     "MomentSummary",
-    "kernel_mean_fn",
-    "chi_square_centered_fn",
+    "FrameMap",
+    "FRAMES",
+    "frame_map",
+    "resolve_frame",
     "statistic_value",
     "moment_summary",
     "g_second_moment_aggregates",
@@ -44,7 +52,9 @@ __all__ = [
     "parse_kernel_spec",
 ]
 
-_FRAMES = ("canonical", "power", "bare", "divergence")
+# Kernel forms of the power-divergence family; they differ by exact affine
+# maps (see _affine_edge).
+FRAMES = ("canonical", "power", "bare", "divergence")
 
 # Cross-check tolerance used by the auto method when an exact closed form
 # exists alongside the series path.
@@ -279,34 +289,42 @@ def parse_kernel_spec(text: str, load_levels=None) -> Kernel:
 
 # -- per-cell kernel functions ----------------------------------------------
 
-def kernel_mean_fn(kernel: Kernel, p: float, n: int):
-    """The per-cell kernel as a function of the cell count.
+def _form(kernel: Kernel, frame: str) -> str:
+    """Name of the per-cell kernel that a (kernel, frame) pair sums.
 
-    For the power-divergence family this is the plain power form
-    np (x / np)^(1+d) (so d = 1 gives x^2 / np, uncentered; the centered
-    quadratic variant is a separate function).  For count kernels it is
-    the indicator; for collisions, (x - 1)^+.  For the unfilled family
-    the returned function is the conditional unfilled probability
-    P{level > x}, since the kernel itself is a coin flip given the count.
+    Power-divergence frames resolve to "centered", "power", "bare" or
+    "divergence": the canonical frame is the centered quadratic kernel for
+    d = 1 and the power sum otherwise, and the divergence form coincides
+    with the centered kernel at d = 1 and with the power sum at d = 0.
+    Every other family has a single kernel, named after the family.
     """
-    rate = n * p
-    if kernel.family == "pds":
-        return _pds_fn(kernel.d, rate, bare=False)
-    if kernel.family == "count_exact":
-        r = kernel.r
-        return lambda x: 1.0 if x == r else 0.0
-    if kernel.family == "count_at_least":
-        r = kernel.r
-        return lambda x: 1.0 if x >= r else 0.0
-    if kernel.family == "collisions":
-        return lambda x: float(max(x - 1, 0))
-    return kernel.levels.survival
+    if kernel.family != "pds":
+        return kernel.family
+    d = kernel.d
+    if frame == "canonical" or (frame == "divergence" and d in (0.0, 1.0)):
+        return "centered" if d == 1.0 else "power"
+    return frame
 
 
-def chi_square_centered_fn(p: float, n: int):
-    """Centered quadratic cell kernel (x - np)^2 / np."""
-    rate = n * p
-    return lambda x: (x - rate) ** 2 / rate
+def _cell_fn(kernel: Kernel, rate: float, frame: str):
+    """(value_fn, is_random) for the per-cell kernel summed in the frame.
+
+    For the unfilled family the value is the conditional unfilled
+    probability P{level > x}, since the kernel is a coin flip given the
+    count.  The divergence form, collisions and occupied cells are summed
+    through their affine sources (see resolve_frame), so they need none.
+    """
+    form = _form(kernel, frame)
+    if form == "centered":
+        return (lambda x: (x - rate) ** 2 / rate), False
+    if form in ("power", "bare"):
+        return _pds_fn(kernel.d, rate, bare=(form == "bare")), False
+    if form == "unfilled":
+        return kernel.levels.survival, True
+    r = kernel.r
+    if form == "count_exact":
+        return (lambda x: 1.0 if x == r else 0.0), False
+    return (lambda x: 1.0 if x >= r else 0.0), False
 
 
 def _pds_fn(d: float, rate: float, bare: bool):
@@ -321,6 +339,141 @@ def _pds_fn(d: float, rate: float, bare: bool):
     return lambda x: scale * x**power
 
 
+# -- frame algebra -----------------------------------------------------------
+
+class FrameMap(NamedTuple):
+    """Per-cell affine map h' = a h + alpha x + c_m, the constants c_m summing to beta.
+
+    On counts that sum to n the statistic maps as T' = a T + alpha n + beta.
+    The adjusted per-cell kernels map as g' = a g, so the variance picks
+    up a^2, the third/fourth moment sums a^3 and a^4, and the order-2
+    aggregates a^4 and a^2.
+    """
+
+    a: float = 1.0
+    alpha: float = 0.0
+    beta: float = 0.0
+
+    def value(self, t: float, n: int) -> float:
+        return self.a * t + self.alpha * n + self.beta
+
+    def summary(self, s: "MomentSummary", n: int, frame: str) -> "MomentSummary":
+        a, alpha = self.a, self.alpha
+        return MomentSummary(
+            mean=self.value(s.mean, n),
+            tau=a * s.tau + alpha,
+            raw_var=a * a * s.raw_var + 2.0 * a * alpha * n * s.tau + alpha * alpha * n,
+            var=a * a * s.var,
+            beta3=a**3 * s.beta3,
+            beta4=a**4 * s.beta4,
+            frame=frame,
+            approximate=s.approximate,
+        )
+
+    def aggregates(self, aggregates: tuple[float, float]) -> tuple[float, float]:
+        s_sq, s_cross = aggregates
+        return self.a**4 * s_sq, self.a**2 * s_cross
+
+    def inverse(self) -> "FrameMap":
+        return FrameMap(1.0 / self.a, -self.alpha / self.a, -self.beta / self.a)
+
+    def then(self, other: "FrameMap") -> "FrameMap":
+        """This map followed by other."""
+        return FrameMap(
+            other.a * self.a,
+            other.a * self.alpha + other.alpha,
+            other.a * self.beta + other.beta,
+        )
+
+
+_IDENTITY = FrameMap()
+
+_EMPTY_CELLS = Kernel.count_exact(0)
+
+
+def _affine_edge(model: MultinomialModel, kernel: Kernel, form: str):
+    """(source kernel, source frame, map) when a form is an affine image.
+
+    The only place that knows which statistic is an exact affine image of
+    which, per cell:
+    - collisions (x - 1)^+ = 1{x = 0} + x - 1 and occupied cells
+      1{x >= 1} = 1 - 1{x = 0} are images of the empty-cell count;
+    - for d not in {0, 1} the divergence form is 2/(d(d+1)) times the
+      power sum minus n;
+    - for d = 1 the power sum x^2/rate = (x - rate)^2/rate + 2x - rate is
+      an image of the centered kernel;
+    - on uniform models (rate = n/N everywhere) the bare kernel is an
+      image of the power sum: x^(1+d) = rate^d (rate^-d x^(1+d)) and
+      2x log x = 2x log(x/rate) + 2 log(rate) x.
+    """
+    n = model.n
+    num_cells = float(model.num_cells)
+    if form == "collisions":
+        return _EMPTY_CELLS, "canonical", FrameMap(1.0, 1.0, -num_cells)
+    if form == "count_at_least" and kernel.r == 1:
+        return _EMPTY_CELLS, "canonical", FrameMap(-1.0, 0.0, num_cells)
+    if form == "divergence":
+        a = 2.0 / (kernel.d * (kernel.d + 1.0))
+        return kernel, "power", FrameMap(a, 0.0, -a * n)
+    if form == "power" and kernel.d == 1.0:
+        return kernel, "canonical", FrameMap(1.0, 2.0, float(-n))
+    if form == "bare" and model.is_uniform:
+        lam = model.fill_ratio
+        if kernel.d == 0.0:
+            return kernel, "power", FrameMap(1.0, 2.0 * math.log(lam), 0.0)
+        return kernel, "power", FrameMap(lam**kernel.d, 0.0, 0.0)
+    return None
+
+
+def resolve_frame(model: MultinomialModel, kernel: Kernel, frame: str = "canonical"):
+    """(kernel, frame, map): what a statistic is summed as, and the map from it.
+
+    The divergence form for d not in {0, 1}, the collision total and the
+    occupied-cell count are derived from their affine sources.  The
+    centered, power and bare kernels are summed as they stand, even where
+    they are images too.
+    """
+    form = _form(kernel, frame)
+    if form not in ("centered", "power", "bare"):
+        edge = _affine_edge(model, kernel, form)
+        if edge is not None:
+            return edge
+    return kernel, frame, _IDENTITY
+
+
+def frame_map(
+    model: MultinomialModel, kernel: Kernel, src: str, dst: str
+) -> FrameMap | None:
+    """Exact map from the statistic in frame src to the one in frame dst.
+
+    None when no exact map exists, which happens only for the bare frame
+    on a non-uniform model.
+    """
+    if _form(kernel, src) == _form(kernel, dst):
+        return _IDENTITY
+    from_src = _from_power(model, kernel, src)
+    to_dst = _from_power(model, kernel, dst)
+    if from_src is None or to_dst is None:
+        return None
+    return from_src.inverse().then(to_dst)
+
+
+def _from_power(model, kernel, frame) -> FrameMap | None:
+    form = _form(kernel, frame)
+    if form == "power":
+        return _IDENTITY
+    if form == "centered":
+        return _affine_edge(model, kernel, "power")[2].inverse()
+    edge = _affine_edge(model, kernel, form)
+    return None if edge is None else edge[2]
+
+
+def _check_frame(frame: str) -> str:
+    if frame not in FRAMES:
+        raise ModelValidationError(f"unknown frame {frame!r}; expected one of {FRAMES}")
+    return frame
+
+
 # -- statistic evaluation on count vectors ----------------------------------
 
 def statistic_value(
@@ -333,9 +486,9 @@ def statistic_value(
     """Value of the statistic on one vector of cell counts.
 
     The frame only matters for the power-divergence family, where the
-    power-sum, bare-power, and divergence forms differ by exact affine
-    maps on the full-count surface.  The unfilled statistic needs the
-    drawn per-cell levels, since it is not a function of counts alone.
+    frames differ by exact affine maps on the full-count surface.  The
+    unfilled statistic needs the drawn per-cell levels, since it is not a
+    function of counts alone.
     """
     counts = np.asarray(counts)
     if kernel.family == "count_exact":
@@ -351,41 +504,20 @@ def statistic_value(
                 "function of the counts alone"
             )
         return float(np.count_nonzero(counts < level_draws))
-    return _pds_statistic(kernel.d, model, counts.astype(float), _check_frame(frame))
+    _, source, fmap = resolve_frame(model, kernel, _check_frame(frame))
+    value = _pds_sum(kernel.d, _form(kernel, source), model.rates, counts.astype(float))
+    return value if fmap is _IDENTITY else fmap.value(value, model.n)
 
 
-def _check_frame(frame: str) -> str:
-    if frame not in _FRAMES:
-        raise ModelValidationError(f"unknown frame {frame!r}; expected one of {_FRAMES}")
-    return frame
-
-
-def _pds_statistic(d: float, model: MultinomialModel, c: np.ndarray, frame: str) -> float:
-    rates = model.rates
-    if frame == "canonical":
-        frame = "centered" if d == 1.0 else "power"
-    if frame == "divergence":
-        if d == 1.0:
-            frame = "centered"
-        elif d == 0.0:
-            frame = "power"
-        else:
-            a = 2.0 / (d * (d + 1.0))
-            return a * _pds_power_sum(d, rates, c) - a * model.n
-    if frame == "centered":
+def _pds_sum(d: float, form: str, rates: np.ndarray, c: np.ndarray) -> float:
+    if form == "centered":
         return float((((c - rates) ** 2) / rates).sum())
-    if frame == "bare":
-        if d == 0.0:
-            pos = c > 0
-            return float(2.0 * (c[pos] * np.log(c[pos])).sum())
-        return float((c ** (1.0 + d)).sum())
-    return _pds_power_sum(d, rates, c)
-
-
-def _pds_power_sum(d: float, rates: np.ndarray, c: np.ndarray) -> float:
     if d == 0.0:
         pos = c > 0
-        return float(2.0 * (c[pos] * np.log(c[pos] / rates[pos])).sum())
+        ratio = c[pos] if form == "bare" else c[pos] / rates[pos]
+        return float(2.0 * (c[pos] * np.log(ratio)).sum())
+    if form == "bare":
+        return float((c ** (1.0 + d)).sum())
     return float((rates**-d * c ** (1.0 + d)).sum())
 
 
@@ -397,9 +529,12 @@ class MomentSummary:
 
     mean     - expected statistic under independent Poisson cell counts
     tau      - regression coefficient of the statistic on the total count
-    raw_var  - variance before removing the total-count regression
-    var      - raw_var - n * tau^2, the variance that standardizes tails
-    beta3    - sum over cells of E g^3 for the adjusted kernels g
+    raw_var  - variance before removing the total-count regression,
+               var + n * tau^2
+    var      - sum over cells of E g^2 for the adjusted kernels
+               g = h - E h - tau (x - rate): the variance that
+               standardizes tails
+    beta3    - sum over cells of E g^3
     beta4    - sum over cells of E g^4
     frame    - which kernel form these numbers describe
     approximate - True for leading-order closed forms (small-rate expansions)
@@ -437,29 +572,6 @@ class MomentSummary:
         }
 
 
-def _affine_summary(s: MomentSummary, n: int, a: float, alpha: float, beta_total: float,
-                    frame: str) -> MomentSummary:
-    # Per-cell map h' = a h + alpha x + const_m with sum of constants
-    # beta_total; the adjusted kernels transform as g' = a g, so the
-    # third/fourth sums pick up a^3 and a^4 and var scales by a^2.
-    return MomentSummary(
-        mean=a * s.mean + alpha * n + beta_total,
-        tau=a * s.tau + alpha,
-        raw_var=a * a * s.raw_var + 2.0 * a * alpha * n * s.tau + alpha * alpha * n,
-        var=a * a * s.var,
-        beta3=a**3 * s.beta3,
-        beta4=a**4 * s.beta4,
-        frame=frame,
-        approximate=s.approximate,
-    )
-
-
-def _divergence_coeffs(d: float, n: int) -> tuple[float, float]:
-    """(a, b) with divergence statistic = a * power_sum + b."""
-    a = 2.0 / (d * (d + 1.0))
-    return a, -a * n
-
-
 def moment_summary(
     model: MultinomialModel,
     kernel: Kernel,
@@ -472,7 +584,8 @@ def moment_summary(
     method: "series" sums every per-cell expectation directly (the
     authoritative path), "closed_form" uses exact or leading-order
     formulas where they exist, "auto" runs the series and cross-checks
-    it against an exact closed form when one is available.
+    its mean, tau and variances against an exact closed form when one is
+    available.
 
     frame (power-divergence only): "canonical" uses the centered
     quadratic kernel for d = 1 and the power sum otherwise; "power" and
@@ -485,119 +598,81 @@ def moment_summary(
         raise ModelValidationError(
             f"frame {frame!r} only applies to the power-divergence family"
         )
-    if method == "series":
-        return _series_summary(model, kernel, frame, tol)
-    if method == "closed_form":
-        return _closed_summary(model, kernel, frame, tol)
-    if method != "auto":
+    if method not in ("auto", "series", "closed_form"):
         raise ModelValidationError(f"unknown method {method!r}")
-    series = _series_summary(model, kernel, frame, tol)
-    exact_closed = _exact_closed_summary(model, kernel, frame, tol)
-    if exact_closed is not None:
-        for name in ("mean", "tau", "raw_var", "var"):
-            a = getattr(series, name)
-            b = getattr(exact_closed, name)
-            if abs(a - b) > _AUTO_XCHECK_RTOL * max(1.0, abs(a), abs(b)):
-                raise EvaluationError(
-                    f"series and closed-form summaries disagree on {name}: "
-                    f"{a!r} vs {b!r}"
-                )
-    return series
+    source, source_frame, fmap = resolve_frame(model, kernel, frame)
+    if method == "closed_form":
+        base = _closed_summary(model, source, source_frame, tol)
+    else:
+        base = _series_summary(model, source, source_frame, tol)
+        if method == "auto":
+            _cross_check(model, base, _closed_moments(model, source, source_frame))
+    return base if fmap is _IDENTITY else fmap.summary(base, model.n, frame)
+
+
+def _cross_check(model, series: MomentSummary, closed) -> None:
+    if closed is None:
+        return
+    mean, tau, raw_var, _ = closed
+    exact = {
+        "mean": mean, "tau": tau, "raw_var": raw_var,
+        "var": raw_var - model.n * tau * tau,
+    }
+    for name, b in exact.items():
+        a = getattr(series, name)
+        if abs(a - b) > _AUTO_XCHECK_RTOL * max(1.0, abs(a), abs(b)):
+            raise EvaluationError(
+                f"series and closed-form summaries disagree on {name}: "
+                f"{a!r} vs {b!r}"
+            )
 
 
 # series path ---------------------------------------------------------------
 
-def _summary_cell_fns(kernel: Kernel, rate: float, frame: str):
-    """(value_fn, is_random) for the per-cell kernel in the given frame."""
-    if kernel.family == "pds":
-        d = kernel.d
-        if frame == "canonical":
-            variant = "centered" if d == 1.0 else "power"
-        elif frame == "divergence":
-            # handled by affine wrapper except the two coincident cases
-            variant = "centered" if d == 1.0 else "power"
-        else:
-            variant = frame
-        if variant == "centered":
-            return (lambda x: (x - rate) ** 2 / rate), False
-        return _pds_fn(d, rate, bare=(variant == "bare")), False
-    if kernel.family == "unfilled":
-        return kernel.levels.survival, True
-    if kernel.family == "count_exact":
-        r = kernel.r
-        return (lambda x: 1.0 if x == r else 0.0), False
-    if kernel.family == "count_at_least":
-        r = kernel.r
-        return (lambda x: 1.0 if x >= r else 0.0), False
-    # collisions
-    return (lambda x: float(max(x - 1, 0))), False
-
-
 def _series_summary(model, kernel, frame, tol) -> MomentSummary:
-    if kernel.family == "pds" and frame == "divergence" and kernel.d not in (0.0, 1.0):
-        base = _series_summary(model, kernel, "power", tol)
-        a, b = _divergence_coeffs(kernel.d, model.n)
-        return _affine_summary(base, model.n, a, 0.0, b, "divergence")
-    if kernel.family in ("count_at_least", "collisions") and (
-        kernel.family == "collisions" or kernel.r == 1
-    ):
-        # Exact affine relations to the empty-cell count: one code path
-        # for the three statistics tied together by it.
-        base = _series_summary(model, Kernel.count_exact(0), "canonical", tol)
-        if kernel.family == "collisions":
-            return _affine_summary(base, model.n, 1.0, 1.0, -model.num_cells, "canonical")
-        return _affine_summary(base, model.n, -1.0, 0.0, model.num_cells, "canonical")
-
     n = model.n
     rates, mults = model.rate_groups()
-    eh = np.empty_like(rates)
-    eh2 = np.empty_like(rates)
+    centers = np.empty_like(rates)
     cov = np.empty_like(rates)
     for i, lam in enumerate(rates):
-        fn, is_random = _summary_cell_fns(kernel, lam, frame)
-        eh[i] = expect_fn(fn, lam, tol)
-        if is_random:
-            eh2[i] = eh[i]  # kernel takes values 0/1
-        else:
-            eh2[i] = expect_fn(lambda x: fn(x) ** 2, lam, tol)
+        fn, _ = _cell_fn(kernel, lam, frame)
+        centers[i] = expect_fn(fn, lam, tol)
         cov[i] = expect_fn(lambda x: fn(x) * (x - lam), lam, tol)
-    mean = float(mults @ eh)
     tau = float(mults @ cov) / n
-    raw_var = float(mults @ (eh2 - eh**2))
-    var = raw_var - n * tau * tau
-
-    beta3 = 0.0
-    beta4 = 0.0
-    for i, lam in enumerate(rates):
-        fn, is_random = _summary_cell_fns(kernel, lam, frame)
-        center = eh[i]
-        if is_random:
-            g3 = expect_fn(_bernoulli_g_power(fn, center, tau, lam, 3), lam, tol)
-            g4 = expect_fn(_bernoulli_g_power(fn, center, tau, lam, 4), lam, tol)
-        else:
-            g3 = expect_fn(_plain_g_power(fn, center, tau, lam, 3), lam, tol)
-            g4 = expect_fn(_plain_g_power(fn, center, tau, lam, 4), lam, tol)
-        beta3 += mults[i] * g3
-        beta4 += mults[i] * g4
+    var, beta3, beta4 = _adjusted_sums(model, kernel, frame, tol, centers, tau, (2, 3, 4))
     return MomentSummary(
-        mean=mean, tau=tau, raw_var=raw_var, var=var,
+        mean=float(mults @ centers), tau=tau, raw_var=var + n * tau * tau, var=var,
         beta3=beta3, beta4=beta4, frame=frame,
     )
 
 
-def _plain_g_power(fn, center, tau, lam, power):
-    def g_pow(x):
-        return (fn(x) - center - tau * (x - lam)) ** power
-    return g_pow
+def _adjusted_sums(model, kernel, frame, tol, centers, tau, powers) -> list[float]:
+    """Sums over cells of E g^k, k in powers, one pass over the distinct rates.
+
+    g = h - E h - tau (x - rate) is the adjusted per-cell kernel; centers
+    holds E h per distinct rate.  The series and closed-form routes share
+    this pass.
+    """
+    rates, mults = model.rate_groups()
+    sums = [0.0] * len(powers)
+    for lam, mult, center in zip(rates, mults, centers):
+        fn, is_random = _cell_fn(kernel, lam, frame)
+        for j, k in enumerate(powers):
+            sums[j] += mult * expect_fn(_g_power(fn, is_random, center, tau, lam, k), lam, tol)
+    return [float(s) for s in sums]
 
 
-def _bernoulli_g_power(prob_fn, center, tau, lam, power):
-    # Kernel is Bernoulli(prob_fn(x)) given count x; average the two
-    # branches of (value - shift)^power.
-    def g_pow(x):
-        w = prob_fn(x)
-        shift = center + tau * (x - lam)
-        return w * (1.0 - shift) ** power + (1.0 - w) * (-shift) ** power
+def _g_power(fn, is_random, center, tau, lam, power):
+    if is_random:
+        # Kernel is Bernoulli(fn(x)) given count x; average the two
+        # branches of (value - shift)^power.
+        def g_pow(x):
+            w = fn(x)
+            shift = center + tau * (x - lam)
+            return w * (1.0 - shift) ** power + (1.0 - w) * (-shift) ** power
+    else:
+        def g_pow(x):
+            return (fn(x) - center - tau * (x - lam)) ** power
     return g_pow
 
 
@@ -609,49 +684,42 @@ def g_second_moment_aggregates(
 ) -> tuple[float, float]:
     """(sum over cells of (E g^2)^2, sum over cells of E g^2 (x - rate)).
 
-    These feed the second correction coefficient.  They transform with
-    the fourth and second powers of a scale factor, so affine-derived
-    frames are handled by mapping the base aggregates.
+    These feed the second correction coefficient.  For a statistic that
+    is an affine image of another, the given summary is mapped back to
+    the source, whose aggregates are summed and mapped forward.
     """
-    if kernel.family == "pds" and summary.frame == "divergence" and kernel.d not in (0.0, 1.0):
-        base = moment_summary(model, kernel, method="series", frame="power", tol=tol)
-        s_sq, s_cross = g_second_moment_aggregates(model, kernel, base, tol)
-        a, _ = _divergence_coeffs(kernel.d, model.n)
-        return a**4 * s_sq, a**2 * s_cross
-    if kernel.family in ("count_at_least", "collisions") and (
-        kernel.family == "collisions" or kernel.r == 1
-    ):
-        base_kernel = Kernel.count_exact(0)
-        base = moment_summary(model, base_kernel, method="series", tol=tol)
-        return g_second_moment_aggregates(model, base_kernel, base, tol)
-
+    source, frame, fmap = resolve_frame(model, kernel, summary.frame)
+    if fmap is not _IDENTITY:
+        summary = fmap.inverse().summary(summary, model.n, frame)
     tau = summary.tau
     rates, mults = model.rate_groups()
     s_sq = 0.0
     s_cross = 0.0
     for lam, mult in zip(rates, mults):
-        fn, is_random = _summary_cell_fns(kernel, lam, summary.frame)
+        fn, is_random = _cell_fn(source, lam, frame)
         center = expect_fn(fn, lam, tol)
-        if is_random:
-            g2 = _bernoulli_g_power(fn, center, tau, lam, 2)
-        else:
-            g2 = _plain_g_power(fn, center, tau, lam, 2)
+        g2 = _g_power(fn, is_random, center, tau, lam, 2)
         eg2 = expect_fn(g2, lam, tol)
         eg2x = expect_fn(lambda x: g2(x) * (x - lam), lam, tol)
         s_sq += mult * eg2 * eg2
         s_cross += mult * eg2x
-    return s_sq, s_cross
+    return fmap.aggregates((s_sq, s_cross))
 
 
 # closed forms ---------------------------------------------------------------
 
 def _closed_summary(model, kernel, frame, tol) -> MomentSummary:
-    exact = _exact_closed_summary(model, kernel, frame, tol)
-    if exact is not None:
-        return exact
+    closed = _closed_moments(model, kernel, frame)
+    if closed is not None:
+        mean, tau, raw_var, centers = closed
+        beta3, beta4 = _adjusted_sums(model, kernel, frame, tol, centers, tau, (3, 4))
+        return MomentSummary(
+            mean=mean, tau=tau, raw_var=raw_var, var=raw_var - model.n * tau * tau,
+            beta3=beta3, beta4=beta4, frame=frame,
+        )
     if kernel.family == "pds":
         if classify_regime(model).very_sparse:
-            return _very_sparse_closed(model, kernel.d, frame, tol)
+            return _very_sparse_closed(model, kernel, frame)
         raise UnsupportedCombinationError(
             f"no closed-form summary for {kernel.describe()} in frame {frame!r} "
             f"outside the very sparse regime"
@@ -661,112 +729,46 @@ def _closed_summary(model, kernel, frame, tol) -> MomentSummary:
     )
 
 
-def _exact_closed_summary(model, kernel, frame, tol) -> MomentSummary | None:
-    """Exact closed forms; third/fourth sums still come from the series."""
-    if kernel.family == "pds":
-        if kernel.d == 1.0 and frame in ("canonical", "divergence"):
-            return _chi_square_closed(model, frame, tol)
-        return None
-    if kernel.family == "count_exact":
-        return _count_closed(model, kernel, tol)
-    if kernel.family == "count_at_least":
-        if kernel.r == 1:
-            base = _count_closed(model, Kernel.count_exact(0), tol)
-            return _affine_summary(base, model.n, -1.0, 0.0, model.num_cells, "canonical")
-        return _count_closed(model, kernel, tol)
-    if kernel.family == "collisions":
-        base = _count_closed(model, Kernel.count_exact(0), tol)
-        return _affine_summary(base, model.n, 1.0, 1.0, -model.num_cells, "canonical")
-    if kernel.family == "unfilled":
-        return _unfilled_closed(model, kernel.levels, tol)
-    return None
+def _closed_moments(model, kernel, frame):
+    """Exact (mean, tau, raw_var, E h per distinct rate), or None.
 
-
-def _series_beta(model, kernel, frame, tol, tau, centers_by_rate) -> tuple[float, float]:
-    beta3 = 0.0
-    beta4 = 0.0
-    rates, mults = model.rate_groups()
-    for lam, mult in zip(rates, mults):
-        fn, is_random = _summary_cell_fns(kernel, lam, frame)
-        center = centers_by_rate(lam)
-        maker = _bernoulli_g_power if is_random else _plain_g_power
-        beta3 += mult * expect_fn(maker(fn, center, tau, lam, 3), lam, tol)
-        beta4 += mult * expect_fn(maker(fn, center, tau, lam, 4), lam, tol)
-    return beta3, beta4
-
-
-def _chi_square_closed(model, frame, tol) -> MomentSummary:
-    # Centered quadratic kernel: per-cell mean 1, covariance with the
-    # count exactly 1, variance 2 + 1/rate.
-    n = model.n
-    num_cells = model.num_cells
-    rates = model.rates
-    inv = 1.0 / rates
-    raw_var = 2.0 * num_cells + float(math.fsum(inv.tolist()))
-    tau = num_cells / n
-    var = raw_var - n * tau * tau
-    beta3, beta4 = _series_beta(
-        model, Kernel.pds(1.0), "canonical", tol, tau, lambda lam: 1.0
-    )
-    return MomentSummary(
-        mean=float(num_cells), tau=tau, raw_var=raw_var, var=var,
-        beta3=beta3, beta4=beta4, frame=frame,
-    )
-
-
-def _count_closed(model, kernel, tol) -> MomentSummary:
+    Closed forms need no series: the centered quadratic kernel, the count
+    kernels and the unfilled-cell kernel have them.
+    """
     n = model.n
     rates, mults = model.rate_groups()
+    form = _form(kernel, frame)
+    if form == "centered":
+        # Per-cell mean 1, covariance with the count exactly 1, variance
+        # 2 + 1/rate.
+        num_cells = model.num_cells
+        raw_var = 2.0 * num_cells + float(math.fsum((1.0 / model.rates).tolist()))
+        return float(num_cells), num_cells / n, raw_var, np.ones_like(rates)
     r = kernel.r
-    if kernel.family == "count_exact":
+    if form == "count_exact":
         occ = np.array([poisson_pmf(r, lam) for lam in rates])
         cov = (r - rates) * occ
-    else:  # count_at_least, r >= 2
+    elif form == "count_at_least":
         occ = np.array(
             [1.0 - math.fsum(poisson_pmf(k, lam) for k in range(r)) for lam in rates]
         )
         # E x 1{x >= r} = lam P{x >= r - 1}, so the covariance is
         # lam * P{x = r - 1}.
         cov = rates * np.array([poisson_pmf(r - 1, lam) for lam in rates])
-    mean = float(mults @ occ)
-    tau = float(mults @ cov) / n
-    raw_var = float(mults @ (occ * (1.0 - occ)))
-    var = raw_var - n * tau * tau
-    beta3, beta4 = _series_beta(
-        model, kernel, "canonical", tol, tau,
-        lambda lam: occ[np.searchsorted(rates, lam)],
-    )
-    return MomentSummary(
-        mean=mean, tau=tau, raw_var=raw_var, var=var,
-        beta3=beta3, beta4=beta4, frame="canonical",
-    )
-
-
-def _unfilled_closed(model, levels, tol) -> MomentSummary:
-    n = model.n
-    rates, mults = model.rate_groups()
-    tau_vals = np.array([level_tau(levels, lam)[0] for lam in rates])
-    tau_primes = np.array([level_tau(levels, lam)[1] for lam in rates])
-    mean = float(mults @ tau_vals)
-    tau = float(mults @ (rates * tau_primes)) / n
-    raw_var = float(mults @ (tau_vals * (1.0 - tau_vals)))
-    var = raw_var - n * tau * tau
-    kernel = Kernel.unfilled(levels)
-    beta3, beta4 = _series_beta(
-        model, kernel, "canonical", tol, tau,
-        lambda lam: tau_vals[np.searchsorted(rates, lam)],
-    )
-    return MomentSummary(
-        mean=mean, tau=tau, raw_var=raw_var, var=var,
-        beta3=beta3, beta4=beta4, frame="canonical",
-    )
+    elif form == "unfilled":
+        pairs = [level_tau(kernel.levels, lam) for lam in rates]
+        occ = np.array([t for t, _ in pairs])
+        cov = rates * np.array([t_prime for _, t_prime in pairs])
+    else:
+        return None
+    return float(mults @ occ), float(mults @ cov) / n, float(mults @ (occ * (1.0 - occ))), occ
 
 
 def _power_weight_sum(probs: np.ndarray, exponent: float) -> float:
     return float(math.fsum((probs**exponent).tolist()))
 
 
-def _very_sparse_closed(model, d, frame, tol) -> MomentSummary:
+def _very_sparse_closed(model, kernel, frame) -> MomentSummary:
     """Leading-order summaries when every rate is small.
 
     For d != 0 these live in the power frame; for d = 0 the uniform
@@ -776,6 +778,7 @@ def _very_sparse_closed(model, d, frame, tol) -> MomentSummary:
     """
     n = model.n
     p = model.probs
+    d = kernel.d
     if d == 0.0:
         if model.is_uniform:
             if frame not in ("canonical", "bare"):
@@ -787,11 +790,10 @@ def _very_sparse_closed(model, d, frame, tol) -> MomentSummary:
             ln2 = math.log(2.0)
             mean = 2.0 * ln2 * n * lam
             var = 8.0 * ln2 * ln2 * n * lam
-            summary = MomentSummary(
+            return MomentSummary(
                 mean=mean, tau=0.0, raw_var=var, var=var,
                 beta3=math.nan, beta4=math.nan, frame="bare", approximate=True,
             )
-            return summary
         if frame not in ("canonical", "power", "divergence"):
             raise UnsupportedCombinationError(
                 "very sparse closed form for d = 0 on a non-uniform model is "
@@ -806,7 +808,8 @@ def _very_sparse_closed(model, d, frame, tol) -> MomentSummary:
             var=4.0 * n * (ez2 - ez * ez),
             beta3=math.nan, beta4=math.nan, frame="power", approximate=True,
         )
-    if frame == "bare" and not model.is_uniform:
+    fmap = frame_map(model, kernel, "power", frame)
+    if fmap is None:
         raise UnsupportedCombinationError(
             "bare-frame very sparse closed form is only stated for uniform models"
         )
@@ -827,14 +830,7 @@ def _very_sparse_closed(model, d, frame, tol) -> MomentSummary:
         mean=mean, tau=tau, raw_var=raw_var, var=var,
         beta3=math.nan, beta4=math.nan, frame="power", approximate=True,
     )
-    if frame == "divergence":
-        a, b = _divergence_coeffs(d, n)
-        summary = _affine_summary(summary, n, a, 0.0, b, "divergence")
-    elif frame == "bare":
-        lam = model.fill_ratio
-        scale = lam**d
-        summary = _affine_summary(summary, n, scale, 0.0, 0.0, "bare")
-    return summary
+    return summary if fmap is _IDENTITY else fmap.summary(summary, n, frame)
 
 
 # -- unfilled-cell helpers ---------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "nu_n_constant",
     "enumerate_distribution",
     "exact_count_moments",
-    "sample_counts",
     "mc_tail_estimate",
 ]
 
@@ -241,12 +240,6 @@ def exact_count_moments(model: MultinomialModel, r: int) -> tuple[float, float]:
         cross = float(pair.sum())
     second = mean + cross
     return mean, second - mean * mean
-
-
-def sample_counts(model: MultinomialModel, seed: int, trial: int) -> np.ndarray:
-    """Counts for one trial; the stream depends only on (seed, trial)."""
-    rng = np.random.default_rng((seed, trial))
-    return rng.multinomial(model.n, model.probs)
 
 
 @dataclass(frozen=True)

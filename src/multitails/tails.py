@@ -21,7 +21,7 @@ from .errors import (
     ModelValidationError,
     UnsupportedCombinationError,
 )
-from .kernels import Kernel, LevelDistribution, MomentSummary, level_tau
+from .kernels import Kernel, LevelDistribution, MomentSummary, frame_map, level_tau
 from .model import MultinomialModel, RegimeTag, classify_regime
 
 __all__ = [
@@ -98,6 +98,12 @@ class ZoneInfo:
     rule: str
     nu: float
     scale: float
+
+    def __post_init__(self):
+        # zone rules mix numpy and builtin arithmetic; keep the fields
+        # builtin so results serialize as plain JSON numbers
+        for name in ("zone", "nu", "scale"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def correction_cap(self, x: float) -> float:
         """In-zone ceiling 5/4 |x|^3 / scale^(1/(1+2 nu)) on |M(x)|."""
@@ -197,7 +203,7 @@ def tail_probability(
         log_p_first_order=log_p1,
         log_p_corrected=log_p,
         zone=zone_value,
-        in_zone=x <= zone_fraction * zone_value,
+        in_zone=bool(x <= zone_fraction * zone_value),
         rule=rule,
         clamped=clamped,
     )
@@ -223,23 +229,32 @@ def zone_bound(
     """
     regime = classify_regime(model)
     if kernel.family == "pds":
-        return _pds_zone(model, kernel.d, summary, regime)
+        return _pds_zone(model, kernel, summary, regime)
     if kernel.family == "unfilled":
         return _unfilled_zone(model, kernel.levels, summary, regime)
     return _count_zone(model, kernel, summary, regime)
 
 
-def _pds_zone(model, d, summary, regime) -> ZoneInfo:
+def _pds_zone(model, kernel, summary, regime) -> ZoneInfo:
+    d = kernel.d
     num_cells = model.num_cells
     n = model.n
+    dstar = max(0.0, d)
+    if regime.very_sparse and regime.uniform:
+        lam = model.fill_ratio
+        w = math.sqrt(n * lam**3)
+        zone = min(n**0.25, (n * lam**3) ** (1.0 / (2.0 * (1.0 + 2.0 * dstar))))
+        return ZoneInfo(zone, "pds-very-sparse-uniform", dstar, w)
+    if d == 1.0 and not regime.very_sparse:
+        return _chi_square_zone(model)
+    # the remaining rules read variance ratios of the power sum
+    to_power = frame_map(model, kernel, summary.frame, "power")
+    if to_power is None:
+        raise UnsupportedCombinationError(
+            "bare-frame summaries map to the power frame only for uniform models"
+        )
+    view = to_power.summary(summary, n, "power")
     if regime.very_sparse:
-        dstar = max(0.0, d)
-        if regime.uniform:
-            lam = model.fill_ratio
-            w = math.sqrt(n * lam**3)
-            zone = min(n**0.25, (n * lam**3) ** (1.0 / (2.0 * (1.0 + 2.0 * dstar))))
-            return ZoneInfo(zone, "pds-very-sparse-uniform", dstar, w)
-        view = _power_frame_view(summary, d, model)
         np_min = n * model.p_min
         sigma3 = view.var ** 1.5
         if d == 0.0:
@@ -248,9 +263,6 @@ def _pds_zone(model, d, summary, regime) -> ZoneInfo:
             w = sigma3 * np_min**d / view.raw_var
         zone = min(n**0.25, w ** (1.0 / (1.0 + 2.0 * dstar)))
         return ZoneInfo(zone, "pds-very-sparse", dstar, w)
-    if d == 1.0:
-        return _chi_square_zone(model)
-    view = _power_frame_view(summary, d, model)
     ratio = view.var**1.5 / view.raw_var
     if regime.dense:
         zone = min(num_cells ** (1.0 / 6.0), model.p_max**-0.25)
@@ -286,51 +298,6 @@ def _chi_square_zone(model) -> ZoneInfo:
         return ZoneInfo(zone, "chi-square-low-rate", 1.0, w)
     zone = min(num_cells ** (1.0 / 6.0), p_quarter)
     return ZoneInfo(zone, "chi-square", 1.0, w)
-
-
-def _power_frame_view(summary: MomentSummary, d: float, model) -> MomentSummary:
-    """Map a power-divergence summary back to the power frame exactly."""
-    n = model.n
-    s = summary
-    if s.frame == "power" or (s.frame == "canonical" and d != 1.0):
-        return s
-    if s.frame in ("canonical", "divergence") and d == 1.0:
-        # centered quadratic -> power: per-cell shift by 2x - rate
-        raw = s.raw_var + 4.0 * n * s.tau + 4.0 * n
-        return MomentSummary(
-            mean=s.mean + n, tau=s.tau + 2.0, raw_var=raw, var=s.var,
-            beta3=s.beta3, beta4=s.beta4, frame="power", approximate=s.approximate,
-        )
-    if s.frame == "divergence":
-        if d == 0.0:
-            return s
-        a = 2.0 / (d * (d + 1.0))
-        b = -a * n
-        return MomentSummary(
-            mean=(s.mean - b) / a, tau=s.tau / a, raw_var=s.raw_var / (a * a),
-            var=s.var / (a * a), beta3=s.beta3 / a**3, beta4=s.beta4 / a**4,
-            frame="power", approximate=s.approximate,
-        )
-    if s.frame == "bare":
-        if not model.is_uniform:
-            raise UnsupportedCombinationError(
-                "bare-frame summaries map to the power frame only for uniform models"
-            )
-        lam = model.fill_ratio
-        if d == 0.0:
-            alpha = -2.0 * math.log(lam)
-            raw = s.raw_var + 2.0 * alpha * n * s.tau + alpha * alpha * n
-            return MomentSummary(
-                mean=s.mean + alpha * n, tau=s.tau + alpha, raw_var=raw, var=s.var,
-                beta3=s.beta3, beta4=s.beta4, frame="power", approximate=s.approximate,
-            )
-        a = lam**-d
-        return MomentSummary(
-            mean=a * s.mean, tau=a * s.tau, raw_var=a * a * s.raw_var,
-            var=a * a * s.var, beta3=a**3 * s.beta3, beta4=a**4 * s.beta4,
-            frame="power", approximate=s.approximate,
-        )
-    raise UnsupportedCombinationError(f"unknown frame {s.frame!r}")
 
 
 def _count_zone(model, kernel, summary, regime) -> ZoneInfo:

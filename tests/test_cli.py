@@ -159,6 +159,19 @@ class TestTail:
         assert payload["mu1"] != 0.0
         assert payload["order"] == 2
 
+    def test_low_rate_chi_square_zone_serializes(self, capsys, tmp_path):
+        # smallest rate 1/2 takes the low-rate chi-square zone, whose
+        # arithmetic runs on numpy scalars; the JSON must still be plain
+        ell = tmp_path / "ell.txt"
+        ell.write_text("".join(f"{v}\n" for v in [-1.0, 1.0] * 50))
+        payload = run_json(
+            capsys, "tail", "--model", "perturbed", "--n", "100", "--cells", "100",
+            "--delta", "0.5", "--ell-file", str(ell), "--kernel", "pds:1",
+            "--frame", "divergence", "--x", "0.5,3", "--side", "both",
+        )
+        assert payload["zone"]["rule"] == "chi-square-low-rate"
+        assert [row["in_zone"] for row in payload["tails"]] == [True, True, False, False]
+
     def test_missing_x(self, capsys):
         code, _, err = run(
             capsys, "tail", "--model", "uniform", "--n", "1024", "--cells", "512",

@@ -15,9 +15,7 @@ from multitails.kernels import (
     Kernel,
     LevelDistribution,
     MomentSummary,
-    chi_square_centered_fn,
     g_second_moment_aggregates,
-    kernel_mean_fn,
     level_tau,
     moment_summary,
     parse_kernel_spec,
@@ -258,27 +256,36 @@ class TestStatisticValue:
 
 
 class TestCellFunctions:
+    # rate 2 in every cell; each statistic sums its per-cell kernel
+    MODEL = uniform_model(8, 4)
+
     def test_pds_power_form(self):
-        fn = kernel_mean_fn(Kernel.pds(1.0), 0.25, 8)  # rate 2
-        assert fn(3) == pytest.approx(9.0 / 2.0, rel=1e-14)
+        value = statistic_value(
+            Kernel.pds(1.0), self.MODEL, np.array([3, 2, 2, 1]), frame="power"
+        )
+        assert value == pytest.approx((9.0 + 4.0 + 4.0 + 1.0) / 2.0, rel=1e-14)
 
     def test_chi_square_centered(self):
-        fn = chi_square_centered_fn(0.25, 8)
-        assert fn(3) == pytest.approx(0.5, rel=1e-14)
-        assert fn(2) == 0.0
+        kernel = Kernel.pds(1.0)
+        assert statistic_value(kernel, self.MODEL, np.array([3, 2, 2, 1])) == pytest.approx(
+            0.5 + 0.5, rel=1e-14
+        )
+        assert statistic_value(kernel, self.MODEL, np.array([2, 2, 2, 2])) == 0.0
 
     def test_count_indicator(self):
-        fn = kernel_mean_fn(Kernel.count_exact(2), 0.25, 8)
-        assert fn(2) == 1.0 and fn(3) == 0.0
+        counts = np.array([3, 2, 2, 1])
+        assert statistic_value(Kernel.count_exact(2), self.MODEL, counts) == 2.0
+        assert statistic_value(Kernel.count_exact(3), self.MODEL, counts) == 1.0
 
     def test_collisions_positive_part(self):
-        fn = kernel_mean_fn(Kernel.collisions(), 0.25, 8)
-        assert fn(0) == 0.0 and fn(1) == 0.0 and fn(4) == 3.0
+        counts = np.array([0, 1, 4, 3])
+        assert statistic_value(Kernel.collisions(), self.MODEL, counts) == 3.0 + 2.0
 
     def test_unfilled_is_survival(self):
-        fn = kernel_mean_fn(Kernel.unfilled(TWO_LEVEL), 0.25, 8)
-        assert fn(0) == pytest.approx(1.0, rel=1e-15)
-        assert fn(1) == pytest.approx(0.3, rel=1e-15)
+        # the summed per-cell kernel is the conditional unfilled
+        # probability P{level > x}
+        s = moment_summary(self.MODEL, Kernel.unfilled(TWO_LEVEL), method="series")
+        assert s.mean == pytest.approx(4 * expect_fn(TWO_LEVEL.survival, 2.0), rel=1e-14)
 
 
 class TestMomentSummary:
@@ -332,6 +339,13 @@ class TestChiSquareSummary:
             assert getattr(series, name) == pytest.approx(
                 getattr(closed, name), rel=1e-9, abs=1e-9
             )
+
+    def test_large_rate_variance_does_not_cancel(self):
+        # rate 1e5: raw_var - n tau^2 would lose every digit of the
+        # adjusted variance; the sum of E g^2 keeps it
+        s = moment_summary(uniform_model(10**6, 10), Kernel.pds(0.5))
+        assert s.var == pytest.approx(2.8124953125, rel=1e-8)
+        assert s.raw_var == s.var + 10**6 * s.tau**2
 
     def test_invariant_var_identity(self):
         model = uniform_model(64, 16)

@@ -10,6 +10,7 @@ from multitails.kernels import Kernel, LevelDistribution, moment_summary, statis
 from multitails.model import explicit_model, uniform_model
 from multitails.oracle import (
     ExactDistribution,
+    _mc_chunk,
     conditioned_poisson_log_pmf,
     conditioned_poisson_pmf,
     enumerate_distribution,
@@ -18,7 +19,6 @@ from multitails.oracle import (
     multinomial_log_pmf,
     multinomial_pmf,
     nu_n_constant,
-    sample_counts,
 )
 
 MIXED = explicit_model(4, [0.1, 0.2, 0.3, 0.4])
@@ -201,19 +201,31 @@ class TestExactCountMoments:
 
 
 class TestSampling:
+    # the per-trial draw of the Monte Carlo loop, observed through _mc_chunk
+    MODEL = uniform_model(16, 8)
+
+    def value(self, kernel, seed, trial):
+        # an integer statistic of one trial, read off strict exceedances
+        # of the half-integer thresholds -1/2, 1/2, ..., n - 1/2
+        thresholds = np.arange(self.MODEL.n + 1) - 0.5
+        hits = _mc_chunk(
+            (self.MODEL, kernel, "canonical", thresholds, "upper", seed, trial, trial + 1)
+        )
+        return int(hits.sum()) - 1
+
     def test_deterministic_in_seed_and_trial(self):
-        model = uniform_model(16, 8)
-        a = sample_counts(model, seed=3, trial=7)
-        b = sample_counts(model, seed=3, trial=7)
-        np.testing.assert_array_equal(a, b)
-        c = sample_counts(model, seed=3, trial=8)
-        assert not np.array_equal(a, c)
+        first = [self.value(Kernel.collisions(), 3, t) for t in range(20)]
+        again = [self.value(Kernel.collisions(), 3, t) for t in range(20)]
+        assert first == again
+        assert len(set(first)) > 1
 
     def test_counts_shape_and_total(self):
-        model = MIXED
-        counts = sample_counts(model, seed=0, trial=0)
-        assert counts.shape == (4,)
-        assert counts.sum() == 4
+        for trial in range(20):
+            empty = self.value(Kernel.count_exact(0), 0, trial)
+            # empty plus occupied cells is the length of the count vector
+            assert empty + self.value(Kernel.count_at_least(1), 0, trial) == 8
+            # collisions = empty cells + n - N only when the counts sum to n
+            assert self.value(Kernel.collisions(), 0, trial) == empty + 16 - 8
 
 
 class TestMcTailEstimate:
