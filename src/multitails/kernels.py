@@ -154,7 +154,7 @@ class LevelDistribution:
     def to_csv(self) -> str:
         return "\n".join(f"{l},{p:.17g}" for l, p in self.pmf) + "\n"
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         levels = np.array([l for l, _ in self.pmf])
         probs = np.array([p for _, p in self.pmf])
         return rng.choice(levels, size=size, p=probs)
@@ -482,43 +482,83 @@ def statistic_value(
     counts: np.ndarray,
     frame: str = "canonical",
     level_draws: np.ndarray | None = None,
-) -> float:
-    """Value of the statistic on one vector of cell counts.
+):
+    """Value of the statistic on a vector of cell counts, or on each row of a block.
 
-    The frame only matters for the power-divergence family, where the
-    frames differ by exact affine maps on the full-count surface.  The
-    unfilled statistic needs the drawn per-cell levels, since it is not a
+    The cells run along the last axis: one count vector gives a float, a
+    (rows, N) block gives an array of one value per row, and each row's
+    value is bitwise the value of that row on its own.  The frame only
+    matters for the power-divergence family, where the frames differ by
+    exact affine maps on the full-count surface.  The unfilled statistic
+    needs the drawn per-cell levels, shaped like counts, since it is not a
     function of counts alone.
     """
     counts = np.asarray(counts)
-    if kernel.family == "count_exact":
-        return float(np.count_nonzero(counts == kernel.r))
-    if kernel.family == "count_at_least":
-        return float(np.count_nonzero(counts >= kernel.r))
-    if kernel.family == "collisions":
-        return float(np.maximum(counts - 1, 0).sum())
-    if kernel.family == "unfilled":
+    family = kernel.family
+    if family == "count_exact":
+        cells = counts == kernel.r
+    elif family == "count_at_least":
+        cells = counts >= kernel.r
+    elif family == "collisions":
+        return _per_row(np.maximum(counts - 1, 0).sum(axis=-1))
+    elif family == "unfilled":
         if level_draws is None:
             raise EvaluationError(
                 "unfilled statistic needs drawn per-cell levels; it is not a "
                 "function of the counts alone"
             )
-        return float(np.count_nonzero(counts < level_draws))
-    _, source, fmap = resolve_frame(model, kernel, _check_frame(frame))
-    value = _pds_sum(kernel.d, _form(kernel, source), model.rates, counts.astype(float))
-    return value if fmap is _IDENTITY else fmap.value(value, model.n)
+        cells = counts < level_draws
+    else:
+        _, source, fmap = resolve_frame(model, kernel, _check_frame(frame))
+        value = _per_row(
+            _pds_sum(kernel.d, _form(kernel, source), model.rates, counts.astype(float))
+        )
+        return value if fmap is _IDENTITY else fmap.value(value, model.n)
+    # count_nonzero is the fast count on one vector but takes a slow generic
+    # path when given an axis, so blocks sum instead
+    if cells.ndim == 1:
+        return float(np.count_nonzero(cells))
+    return cells.sum(axis=-1).astype(float)
 
 
-def _pds_sum(d: float, form: str, rates: np.ndarray, c: np.ndarray) -> float:
+def _per_row(total):
+    """A float for one count vector, a float array for a block of them."""
+    return float(total) if total.ndim == 0 else total.astype(float)
+
+
+def _pds_sum(d: float, form: str, rates: np.ndarray, c: np.ndarray):
+    """Sum of the per-cell kernel over the last axis of c."""
     if form == "centered":
-        return float((((c - rates) ** 2) / rates).sum())
+        return (((c - rates) ** 2) / rates).sum(axis=-1)
     if d == 0.0:
+        # x log x vanishes at x = 0, so only occupied cells are summed.
         pos = c > 0
-        ratio = c[pos] if form == "bare" else c[pos] / rates[pos]
-        return float(2.0 * (c[pos] * np.log(ratio)).sum())
+        ratio = c if form == "bare" else c / rates
+        return 2.0 * _masked_row_sums(c[pos] * np.log(ratio[pos]), pos)
     if form == "bare":
-        return float((c ** (1.0 + d)).sum())
-    return float((rates**-d * c ** (1.0 + d)).sum())
+        return (c ** (1.0 + d)).sum(axis=-1)
+    return (rates**-d * c ** (1.0 + d)).sum(axis=-1)
+
+
+def _masked_row_sums(terms: np.ndarray, mask: np.ndarray):
+    """Per-row sums of terms, the entries of some array where mask is true.
+
+    For one vector this is terms.sum().  For a block, rows with the same
+    number of terms are packed into one contiguous block and summed along
+    its last axis, which groups each row's additions as a lone 1-D sum
+    does; a flat segmented sum (np.add.reduceat) groups them differently.
+    """
+    if mask.ndim == 1:
+        return terms.sum()
+    lengths = mask.sum(axis=-1).reshape(-1)
+    row = np.repeat(np.arange(lengths.size), lengths)
+    packed = np.zeros((lengths.size, int(lengths.max(initial=0))))
+    packed[row, np.arange(terms.size) - (np.cumsum(lengths) - lengths)[row]] = terms
+    sums = np.empty(lengths.size)
+    for m in np.unique(lengths):
+        same = lengths == m
+        sums[same] = packed[same, :m].sum(axis=-1)
+    return sums.reshape(mask.shape[:-1])
 
 
 # -- moment summaries --------------------------------------------------------

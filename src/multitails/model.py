@@ -13,6 +13,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,10 +115,12 @@ class MultinomialModel:
         """Mean particles per cell, n/N."""
         return self.n / self.num_cells
 
-    @property
+    @cached_property
     def rates(self) -> np.ndarray:
-        """Poissonized per-cell rates n * p_m."""
-        return self.n * self.probs
+        """Poissonized per-cell rates n * p_m, computed once, read-only."""
+        rates = self.n * self.probs
+        rates.flags.writeable = False
+        return rates
 
     @property
     def p_min(self) -> float:
@@ -141,9 +144,15 @@ class MultinomialModel:
 
         Summaries loop over distinct rates instead of cells, which turns
         uniform and near-uniform models with 1e5 cells into a handful of
-        evaluations.
+        evaluations.  Computed once; the arrays are read-only.
         """
+        return self._rate_groups
+
+    @cached_property
+    def _rate_groups(self) -> tuple[np.ndarray, np.ndarray]:
         values, counts = np.unique(self.rates, return_counts=True)
+        values.flags.writeable = False
+        counts.flags.writeable = False
         return values, counts
 
 

@@ -273,20 +273,29 @@ class McEstimate:
         }
 
 
+def _block_rows(model: MultinomialModel) -> int:
+    """Trials per Monte Carlo block: at most 2**16 counts, whatever the split."""
+    return max(1, 2**16 // model.num_cells)
+
+
 def _mc_chunk(args) -> np.ndarray:
+    """Hits per threshold over trials start..stop, a run of whole blocks.
+
+    Block b holds trials b*rows .. (b+1)*rows - 1, cut at the last trial.
+    It is drawn from default_rng((seed, b)) as one (rows, N) count matrix,
+    plus one (rows, N) level matrix for random kernels, and its rows are
+    evaluated by one statistic call.
+    """
     model, kernel, frame, thresholds, side, seed, start, stop = args
-    hits = np.zeros(len(thresholds), dtype=np.int64)
+    rows = _block_rows(model)
     thr = np.asarray(thresholds)
-    needs_levels = kernel.is_random
-    for trial in range(start, stop):
-        rng = np.random.default_rng((seed, trial))
-        counts = rng.multinomial(model.n, model.probs)
-        draws = kernel.levels.draw(rng, model.num_cells) if needs_levels else None
-        value = statistic_value(kernel, model, counts, frame, draws)
-        if side == "upper":
-            hits += value > thr
-        else:
-            hits += value < thr
+    hits = np.zeros(thr.size, dtype=np.int64)
+    for first in range(start, stop, rows):
+        rng = np.random.default_rng((seed, first // rows))
+        counts = rng.multinomial(model.n, model.probs, size=min(rows, stop - first))
+        draws = kernel.levels.draw(rng, counts.shape) if kernel.is_random else None
+        values = statistic_value(kernel, model, counts, frame, draws)[:, None]
+        hits += (values > thr if side == "upper" else values < thr).sum(axis=0)
     return hits
 
 
@@ -316,8 +325,10 @@ def mc_tail_estimate(
 ) -> McEstimate:
     """Monte Carlo estimate of P{T > mean + x sigma} (or the lower analog).
 
-    Trials are seeded individually by (seed, trial), so results do not
-    depend on how they are split across workers.  Thresholds use strict
+    Trials are drawn in fixed blocks of max(1, 2**16 // N) trials, each
+    seeded by (seed, block); workers get whole blocks, so results do not
+    depend on how many there are.  A seed gives other draws than the
+    per-trial seeding of earlier versions did.  Thresholds use strict
     exceedance; x may be any finite real, including negative values.
     """
     if trials < 1000:
@@ -337,9 +348,11 @@ def mc_tail_estimate(
     if workers == 1:
         hits = _mc_chunk((model, kernel, frame, thresholds, side, seed, 0, trials))
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
+        rows = _block_rows(model)
+        blocks = np.linspace(0, -(-trials // rows), workers + 1, dtype=int)
+        bounds = [min(int(b) * rows, trials) for b in blocks]
         jobs = [
-            (model, kernel, frame, thresholds, side, seed, int(a), int(b))
+            (model, kernel, frame, thresholds, side, seed, a, b)
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]

@@ -1,0 +1,92 @@
+"""Property tests of block evaluation and block-seeded Monte Carlo."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from multitails.kernels import (
+    FRAMES,
+    Kernel,
+    LevelDistribution,
+    MomentSummary,
+    statistic_value,
+)
+from multitails.model import explicit_model, uniform_model
+from multitails.oracle import _block_rows, mc_tail_estimate
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# every example starts two process pools
+POOLED = settings(max_examples=6, deadline=None, derandomize=True, database=None)
+
+LEVELS = LevelDistribution(((0, 0.2), (1, 0.3), (3, 0.5)))
+
+kernels = st.one_of(
+    st.sampled_from([1.0, 0.0, -0.5, 2.0 / 3.0, 2.0]).map(Kernel.pds),
+    st.floats(-0.9, 3.0).map(Kernel.pds),
+    st.integers(0, 4).map(Kernel.count_exact),
+    st.integers(1, 4).map(Kernel.count_at_least),
+    st.just(Kernel.collisions()),
+    st.just(Kernel.unfilled(LEVELS)),
+)
+
+
+def _two_rate_model(n, cells, heavy, ratio):
+    # heavy cells get ratio times the probability of the others
+    weights = np.ones(cells)
+    weights[:heavy] = ratio
+    return explicit_model(n, weights / weights.sum())
+
+
+models = st.one_of(
+    st.builds(uniform_model, st.integers(1, 60), st.integers(2, 40)),
+    st.integers(2, 40).flatmap(
+        lambda cells: st.builds(
+            _two_rate_model, st.integers(1, 60), st.just(cells),
+            st.integers(1, cells - 1), st.floats(1.5, 8.0),
+        )
+    ),
+)
+
+
+@PROPERTY
+@given(models, kernels, st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_block_rows_equal_single_vectors(model, kernel, rows, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(model.n, model.probs, size=rows)
+    draws = LEVELS.draw(rng, counts.shape) if kernel.is_random else None
+    frames = FRAMES if kernel.family == "pds" else ("canonical",)
+    for frame in frames:
+        block = statistic_value(kernel, model, counts, frame, draws)
+        assert block.shape == (rows,) and block.dtype == np.float64
+        for i in range(rows):
+            row_draws = None if draws is None else draws[i]
+            single = statistic_value(kernel, model, counts[i], frame, row_draws)
+            assert isinstance(single, float)
+            assert block[i] == single
+
+
+@POOLED
+@given(
+    st.integers(100, 700),
+    st.integers(0, 3),
+    st.integers(0, 10**6),
+    st.sampled_from([Kernel.pds(1.0), Kernel.count_exact(0), Kernel.unfilled(LEVELS)]),
+    st.integers(0, 2**31 - 1),
+)
+@example(512, 0, 0, Kernel.pds(1.0), 7)  # 1024 trials, exactly 8 blocks
+def test_worker_split_invariance(cells, more_blocks, extra, kernel, seed):
+    model = _two_rate_model(2 * cells, cells, cells // 3, 2.0)
+    rows = _block_rows(model)
+    # at least 1000 trials, a last block cut short unless extra % rows == 0
+    trials = rows * (-(-1000 // rows) + more_blocks) + extra % rows
+    # thresholds near the centre of each statistic, so that hits vary
+    centre = {"pds": cells, "count_exact": 0.15 * cells, "unfilled": 0.5 * cells}
+    summary = MomentSummary(
+        mean=centre[kernel.family], tau=0.0, raw_var=cells, var=cells,
+        beta3=0.0, beta4=0.0,
+    )
+    xs = [-0.5, 0.0, 1.0]
+    one = mc_tail_estimate(model, kernel, summary, xs, trials, seed, workers=1)
+    assert 0 < sum(one.hits) < len(xs) * trials
+    for workers in (2, 3):
+        assert mc_tail_estimate(model, kernel, summary, xs, trials, seed, workers=workers) == one

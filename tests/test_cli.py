@@ -251,8 +251,8 @@ class TestSimulate:
             "--seed", "11",
         )
         rows = payload["results"]
-        assert rows[0]["p_hat"] == pytest.approx(0.159, rel=1e-12)
-        assert rows[1]["p_hat"] == pytest.approx(0.041, rel=1e-12)
+        assert rows[0]["p_hat"] == pytest.approx(0.132, rel=1e-12)
+        assert rows[1]["p_hat"] == pytest.approx(0.031, rel=1e-12)
         assert all(math.isfinite(r["z_discrepancy"]) for r in rows)
         assert payload["trials"] == 1000
 

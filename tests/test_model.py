@@ -142,6 +142,16 @@ class TestDerivedQuantities:
         assert model.fill_ratio == 2.0
         np.testing.assert_allclose(model.rates, 2.0, rtol=1e-15)
 
+    def test_rates_computed_once_read_only(self):
+        model = power_law_model(100, 7, 0.5)
+        rates = model.rates
+        assert model.rates is rates
+        assert not rates.flags.writeable
+        np.testing.assert_array_equal(rates, model.n * model.probs)
+        values, counts = model.rate_groups()
+        assert model.rate_groups()[0] is values
+        assert not values.flags.writeable and not counts.flags.writeable
+
     def test_extreme_probs(self):
         model = power_law_model(100, 4, 0.5)
         assert model.p_max == model.probs[0]

@@ -8,8 +8,10 @@ import pytest
 from multitails.errors import EvaluationError, UnsupportedCombinationError
 from multitails.kernels import Kernel, LevelDistribution, moment_summary, statistic_value
 from multitails.model import explicit_model, uniform_model
+from multitails import oracle
 from multitails.oracle import (
     ExactDistribution,
+    _block_rows,
     _mc_chunk,
     conditioned_poisson_log_pmf,
     conditioned_poisson_pmf,
@@ -201,31 +203,59 @@ class TestExactCountMoments:
 
 
 class TestSampling:
-    # the per-trial draw of the Monte Carlo loop, observed through _mc_chunk
+    # one Monte Carlo block, observed through _mc_chunk: the count matrix it
+    # hands to the statistic is recorded on the way through
     MODEL = uniform_model(16, 8)
+    ROWS = _block_rows(MODEL)
 
-    def value(self, kernel, seed, trial):
-        # an integer statistic of one trial, read off strict exceedances
-        # of the half-integer thresholds -1/2, 1/2, ..., n - 1/2
-        thresholds = np.arange(self.MODEL.n + 1) - 0.5
-        hits = _mc_chunk(
-            (self.MODEL, kernel, "canonical", thresholds, "upper", seed, trial, trial + 1)
-        )
-        return int(hits.sum()) - 1
+    @pytest.fixture
+    def draw_block(self, monkeypatch):
+        seen = []
 
-    def test_deterministic_in_seed_and_trial(self):
-        first = [self.value(Kernel.collisions(), 3, t) for t in range(20)]
-        again = [self.value(Kernel.collisions(), 3, t) for t in range(20)]
-        assert first == again
-        assert len(set(first)) > 1
+        def record(kernel, model, counts, frame, level_draws):
+            seen.append(counts.copy())
+            return statistic_value(kernel, model, counts, frame, level_draws)
 
-    def test_counts_shape_and_total(self):
-        for trial in range(20):
-            empty = self.value(Kernel.count_exact(0), 0, trial)
-            # empty plus occupied cells is the length of the count vector
-            assert empty + self.value(Kernel.count_at_least(1), 0, trial) == 8
-            # collisions = empty cells + n - N only when the counts sum to n
-            assert self.value(Kernel.collisions(), 0, trial) == empty + 16 - 8
+        monkeypatch.setattr(oracle, "statistic_value", record)
+
+        def draw(seed, block, thresholds=(0.0,)):
+            first = block * self.ROWS
+            hits = _mc_chunk(
+                (self.MODEL, Kernel.pds(1.0), "canonical", thresholds, "upper",
+                 seed, first, first + self.ROWS)
+            )
+            return seen.pop(), hits
+
+        return draw
+
+    def test_block_rows_depend_on_the_model_only(self):
+        assert self.ROWS == 2**16 // 8
+        assert _block_rows(uniform_model(1024, 512)) == 128
+        assert _block_rows(uniform_model(10, 2**17)) == 1
+
+    def test_deterministic_in_seed_and_block(self, draw_block):
+        first, _ = draw_block(3, 1)
+        np.testing.assert_array_equal(first, draw_block(3, 1)[0])
+        assert not np.array_equal(first, draw_block(3, 2)[0])
+        assert not np.array_equal(first, draw_block(4, 1)[0])
+
+    def test_counts_shape_and_total(self, draw_block):
+        counts, _ = draw_block(0, 0)
+        assert counts.shape == (self.ROWS, 8)
+        # every row is one trial: n particles over the cells
+        np.testing.assert_array_equal(counts.sum(axis=1), 16)
+        empty = statistic_value(Kernel.count_exact(0), self.MODEL, counts)
+        occupied = statistic_value(Kernel.count_at_least(1), self.MODEL, counts)
+        np.testing.assert_array_equal(empty + occupied, 8.0)
+        # collisions = empty cells + n - N only when the counts sum to n
+        collisions = statistic_value(Kernel.collisions(), self.MODEL, counts)
+        np.testing.assert_array_equal(collisions, empty + 16 - 8)
+
+    def test_hits_count_the_block_rows(self, draw_block):
+        thresholds = np.array([4.0, 8.0, 12.0])
+        counts, hits = draw_block(5, 2, thresholds)
+        values = statistic_value(Kernel.pds(1.0), self.MODEL, counts)
+        np.testing.assert_array_equal(hits, (values[:, None] > thresholds).sum(axis=0))
 
 
 class TestMcTailEstimate:
@@ -237,9 +267,9 @@ class TestMcTailEstimate:
         est = mc_tail_estimate(
             self.MODEL, self.KERNEL, self.SUMMARY, [0.5, 1.5], 1000, seed=11
         )
-        assert est.hits == (159, 41)
+        assert est.hits == (132, 31)
         assert est.threshold == (10.0, 14.0)
-        assert est.p_hat == (0.159, 0.041)
+        assert est.p_hat == (0.132, 0.031)
 
     def test_worker_split_invariance(self):
         one = mc_tail_estimate(
