@@ -482,7 +482,7 @@ def statistic_value(
     counts: np.ndarray,
     frame: str = "canonical",
     level_draws: np.ndarray | None = None,
-):
+) -> float | np.ndarray:
     """Value of the statistic on a vector of cell counts, or on each row of a block.
 
     The cells run along the last axis: one count vector gives a float, a

@@ -236,6 +236,11 @@ class TestSampling:
     def test_deterministic_in_seed_and_block(self, draw_block):
         first, _ = draw_block(3, 1)
         np.testing.assert_array_equal(first, draw_block(3, 1)[0])
+        # block b is the documented stream default_rng((seed, b))
+        stream = np.random.default_rng((3, 1))
+        np.testing.assert_array_equal(
+            first, stream.multinomial(16, self.MODEL.probs, size=self.ROWS)
+        )
         assert not np.array_equal(first, draw_block(3, 2)[0])
         assert not np.array_equal(first, draw_block(4, 1)[0])
 
