@@ -161,12 +161,17 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-def _tail_rows(model, kernel, summary, xs, sides, order, zone_fraction):
+def _corrections(model, kernel, summary, order):
+    """(correction coefficients, zone) for a summary; order 2 needs the aggregates."""
     aggregates = None
     if order == 2:
         aggregates = g_second_moment_aggregates(model, kernel, summary)
     coeffs = correction_coeffs(summary, model.n, order=order, aggregates=aggregates)
-    info = zone_bound(model, kernel, summary)
+    return coeffs, zone_bound(model, kernel, summary)
+
+
+def _tail_rows(model, kernel, summary, xs, sides, order, zone_fraction):
+    coeffs, info = _corrections(model, kernel, summary, order)
     rows = []
     for x in xs:
         for side in sides:
@@ -263,11 +268,7 @@ def _cmd_simulate(args) -> int:
     if not xs:
         raise ModelValidationError("at least one --x is required")
     summary = moment_summary(model, kernel, method=args.method, frame=args.frame)
-    aggregates = None
-    if args.order == 2:
-        aggregates = g_second_moment_aggregates(model, kernel, summary)
-    coeffs = correction_coeffs(summary, model.n, order=args.order, aggregates=aggregates)
-    info = zone_bound(model, kernel, summary)
+    coeffs, info = _corrections(model, kernel, summary, args.order)
     est = mc_tail_estimate(
         model,
         kernel,

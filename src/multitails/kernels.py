@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import (
     EvaluationError,
@@ -531,34 +532,12 @@ def _pds_sum(d: float, form: str, rates: np.ndarray, c: np.ndarray):
     if form == "centered":
         return (((c - rates) ** 2) / rates).sum(axis=-1)
     if d == 0.0:
-        # x log x vanishes at x = 0, so only occupied cells are summed.
-        pos = c > 0
-        ratio = c if form == "bare" else c / rates
-        return 2.0 * _masked_row_sums(c[pos] * np.log(ratio[pos]), pos)
+        # xlogy(0, 0) = 0, so every cell is summed and a block row adds up
+        # as its lone vector does.
+        return 2.0 * xlogy(c, c if form == "bare" else c / rates).sum(axis=-1)
     if form == "bare":
         return (c ** (1.0 + d)).sum(axis=-1)
     return (rates**-d * c ** (1.0 + d)).sum(axis=-1)
-
-
-def _masked_row_sums(terms: np.ndarray, mask: np.ndarray):
-    """Per-row sums of terms, the entries of some array where mask is true.
-
-    For one vector this is terms.sum().  For a block, rows with the same
-    number of terms are packed into one contiguous block and summed along
-    its last axis, which groups each row's additions as a lone 1-D sum
-    does; a flat segmented sum (np.add.reduceat) groups them differently.
-    """
-    if mask.ndim == 1:
-        return terms.sum()
-    lengths = mask.sum(axis=-1).reshape(-1)
-    row = np.repeat(np.arange(lengths.size), lengths)
-    packed = np.zeros((lengths.size, int(lengths.max(initial=0))))
-    packed[row, np.arange(terms.size) - (np.cumsum(lengths) - lengths)[row]] = terms
-    sums = np.empty(lengths.size)
-    for m in np.unique(lengths):
-        same = lengths == m
-        sums[same] = packed[same, :m].sum(axis=-1)
-    return sums.reshape(mask.shape[:-1])
 
 
 # -- moment summaries --------------------------------------------------------
@@ -617,7 +596,6 @@ def moment_summary(
     kernel: Kernel,
     method: str = "auto",
     frame: str = "canonical",
-    tol: float = 1e-12,
 ) -> MomentSummary:
     """Moment summary for a statistic on a model.
 
@@ -642,9 +620,9 @@ def moment_summary(
         raise ModelValidationError(f"unknown method {method!r}")
     source, source_frame, fmap = resolve_frame(model, kernel, frame)
     if method == "closed_form":
-        base = _closed_summary(model, source, source_frame, tol)
+        base = _closed_summary(model, source, source_frame)
     else:
-        base = _series_summary(model, source, source_frame, tol)
+        base = _series_summary(model, source, source_frame)
         if method == "auto":
             _cross_check(model, base, _closed_moments(model, source, source_frame))
     return base if fmap is _IDENTITY else fmap.summary(base, model.n, frame)
@@ -669,24 +647,24 @@ def _cross_check(model, series: MomentSummary, closed) -> None:
 
 # series path ---------------------------------------------------------------
 
-def _series_summary(model, kernel, frame, tol) -> MomentSummary:
+def _series_summary(model, kernel, frame) -> MomentSummary:
     n = model.n
     rates, mults = model.rate_groups()
     centers = np.empty_like(rates)
     cov = np.empty_like(rates)
     for i, lam in enumerate(rates):
         fn, _ = _cell_fn(kernel, lam, frame)
-        centers[i] = expect_fn(fn, lam, tol)
-        cov[i] = expect_fn(lambda x: fn(x) * (x - lam), lam, tol)
+        centers[i] = expect_fn(fn, lam)
+        cov[i] = expect_fn(lambda x: fn(x) * (x - lam), lam)
     tau = float(mults @ cov) / n
-    var, beta3, beta4 = _adjusted_sums(model, kernel, frame, tol, centers, tau, (2, 3, 4))
+    var, beta3, beta4 = _adjusted_sums(model, kernel, frame, centers, tau, (2, 3, 4))
     return MomentSummary(
         mean=float(mults @ centers), tau=tau, raw_var=var + n * tau * tau, var=var,
         beta3=beta3, beta4=beta4, frame=frame,
     )
 
 
-def _adjusted_sums(model, kernel, frame, tol, centers, tau, powers) -> list[float]:
+def _adjusted_sums(model, kernel, frame, centers, tau, powers) -> list[float]:
     """Sums over cells of E g^k, k in powers, one pass over the distinct rates.
 
     g = h - E h - tau (x - rate) is the adjusted per-cell kernel; centers
@@ -698,7 +676,7 @@ def _adjusted_sums(model, kernel, frame, tol, centers, tau, powers) -> list[floa
     for lam, mult, center in zip(rates, mults, centers):
         fn, is_random = _cell_fn(kernel, lam, frame)
         for j, k in enumerate(powers):
-            sums[j] += mult * expect_fn(_g_power(fn, is_random, center, tau, lam, k), lam, tol)
+            sums[j] += mult * expect_fn(_g_power(fn, is_random, center, tau, lam, k), lam)
     return [float(s) for s in sums]
 
 
@@ -720,7 +698,6 @@ def g_second_moment_aggregates(
     model: MultinomialModel,
     kernel: Kernel,
     summary: MomentSummary,
-    tol: float = 1e-12,
 ) -> tuple[float, float]:
     """(sum over cells of (E g^2)^2, sum over cells of E g^2 (x - rate)).
 
@@ -737,10 +714,10 @@ def g_second_moment_aggregates(
     s_cross = 0.0
     for lam, mult in zip(rates, mults):
         fn, is_random = _cell_fn(source, lam, frame)
-        center = expect_fn(fn, lam, tol)
+        center = expect_fn(fn, lam)
         g2 = _g_power(fn, is_random, center, tau, lam, 2)
-        eg2 = expect_fn(g2, lam, tol)
-        eg2x = expect_fn(lambda x: g2(x) * (x - lam), lam, tol)
+        eg2 = expect_fn(g2, lam)
+        eg2x = expect_fn(lambda x: g2(x) * (x - lam), lam)
         s_sq += mult * eg2 * eg2
         s_cross += mult * eg2x
     return fmap.aggregates((s_sq, s_cross))
@@ -748,11 +725,11 @@ def g_second_moment_aggregates(
 
 # closed forms ---------------------------------------------------------------
 
-def _closed_summary(model, kernel, frame, tol) -> MomentSummary:
+def _closed_summary(model, kernel, frame) -> MomentSummary:
     closed = _closed_moments(model, kernel, frame)
     if closed is not None:
         mean, tau, raw_var, centers = closed
-        beta3, beta4 = _adjusted_sums(model, kernel, frame, tol, centers, tau, (3, 4))
+        beta3, beta4 = _adjusted_sums(model, kernel, frame, centers, tau, (3, 4))
         return MomentSummary(
             mean=mean, tau=tau, raw_var=raw_var, var=raw_var - model.n * tau * tau,
             beta3=beta3, beta4=beta4, frame=frame,

@@ -37,6 +37,9 @@ _WILSON_Z = 2.5758293035489004
 
 _PRUNE_LOG = math.log(1e-300)
 
+# Enumerated statistic values this close (relative, floored at 1) are one atom.
+_MERGE_RTOL = 1e-12
+
 
 def multinomial_log_pmf(counts, model: MultinomialModel) -> float:
     """Exact log probability of one count vector."""
@@ -133,14 +136,13 @@ def enumerate_distribution(
     statistic: Kernel | Callable[[np.ndarray], float],
     frame: str = "canonical",
     max_compositions: int = 2_000_000,
-    merge_rtol: float = 1e-12,
 ) -> ExactDistribution:
     """Exact distribution of a count-determined statistic by enumeration.
 
     Walks every composition of n over the cells with an incrementally
     maintained log probability, drops compositions whose probability
     underflows doubles, and merges statistic atoms that agree to
-    merge_rtol.  The statistic is a Kernel or any callable taking the
+    a relative 1e-12.  The statistic is a Kernel or any callable taking the
     counts vector; statistics with their own randomness given the
     counts cannot be enumerated this way.
     """
@@ -189,7 +191,7 @@ def enumerate_distribution(
     for idx in order:
         v = values[idx]
         p = probs[idx]
-        if merged_v and abs(v - merged_v[-1]) <= merge_rtol * max(1.0, abs(merged_v[-1])):
+        if merged_v and abs(v - merged_v[-1]) <= _MERGE_RTOL * max(1.0, abs(merged_v[-1])):
             merged_p[-1] += p
         else:
             merged_v.append(v)

@@ -347,6 +347,12 @@ class TestChiSquareSummary:
         assert s.var == pytest.approx(2.8124953125, rel=1e-8)
         assert s.raw_var == s.var + 10**6 * s.tau**2
 
+    def test_large_rate_third_moment_matches_mpmath(self):
+        # the Poisson weights at rate 1e5 sum to 1, so the odd moment of the
+        # adjusted kernel is not thrown off centre (mpmath: 4.21873154297534)
+        s = moment_summary(uniform_model(10**6, 10), Kernel.pds(0.5))
+        assert s.beta3 == pytest.approx(4.21873154297534, rel=1e-8)
+
     def test_invariant_var_identity(self):
         model = uniform_model(64, 16)
         s = moment_summary(model, Kernel.pds(1.0))

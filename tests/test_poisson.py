@@ -194,11 +194,14 @@ class TestExpectFn:
         got = expect_fn(lambda x: 1.0 if x == 1 else 0.0, 2.0)
         assert got == pytest.approx(poisson_pmf(1, 2.0), rel=1e-12)
 
-    @pytest.mark.parametrize("lam", [0.1, 1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 5.0, 20.0, 1e3, 1e5])
     @pytest.mark.parametrize("v", [2, 3, 4, 6])
     def test_matches_central_moment(self, v, lam):
         got = expect_fn(lambda x: (x - lam) ** v, lam)
         assert got == pytest.approx(central_moment(v, lam), rel=1e-10)
+
+    def test_weights_sum_to_one_at_large_rate(self):
+        assert expect_fn(lambda k: 1.0, 1e5) == 1.0
 
     def test_nonfinite_value_reported(self):
         with pytest.raises(EvaluationError) as err:
