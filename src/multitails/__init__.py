@@ -33,13 +33,8 @@ from .model import (
     MultinomialModel,
     Regime,
     RegimeTag,
-    build_model,
     classify_regime,
     explicit_model,
-    model_from_spec,
-    model_from_spec_json,
-    model_spec_json,
-    model_to_spec,
     perturbed_uniform_model,
     power_law_model,
     probs_from_csv,

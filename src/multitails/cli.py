@@ -4,14 +4,15 @@ Subcommands: moments (summaries), tail (corrected approximations),
 enumerate (exact small-model distributions), simulate (seeded Monte
 Carlo against the approximations), rngtest (statistic suite over a raw
 word stream).  Exit codes: 0 success, 2 configuration or evaluation
-problem, 3 unsupported model/statistic combination, 4 input stream
-exhausted.
+problem (including an unreadable or malformed input file), 3 unsupported
+model/statistic combination, 4 input stream exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -66,18 +67,30 @@ def _model_from_args(args) -> MultinomialModel:
         return power_law_model(args.n, args.cells, args.alpha)
     if family == "perturbed":
         _require(args, "n", "cells", "delta", "ell-file")
-        ell = _floats_from_file(args.ell_file)
+        ell = _read_input(args.ell_file, _floats_from_text, "perturbation file")
         return perturbed_uniform_model(args.n, args.cells, args.delta, ell)
     if family == "file":
         _require(args, "n", "probs-file")
-        probs = probs_from_csv(Path(args.probs_file).read_text())
+        probs = _read_input(args.probs_file, probs_from_csv, "probability file")
         return explicit_model(args.n, probs)
     raise ModelValidationError(f"unknown model family {family!r}")
 
 
-def _floats_from_file(path: str) -> list[float]:
+def _read_input(path: str, parse, what: str):
+    """parse(text) of an input file; failing to read or parse it is a validation error."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as exc:
+        raise ModelValidationError(f"cannot read {what} {path!r}: {exc.strerror}") from None
+    except ModelValidationError:
+        raise
+    except ValueError as exc:
+        raise ModelValidationError(f"malformed {what} {path!r}: {exc}") from None
+
+
+def _floats_from_text(text: str) -> list[float]:
     out = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             out.append(float(line))
@@ -88,7 +101,7 @@ def _kernel_from_args(args) -> Kernel:
     _require(args, "kernel")
     return parse_kernel_spec(
         args.kernel,
-        load_levels=lambda path: LevelDistribution.from_csv(Path(path).read_text()),
+        load_levels=lambda path: _read_input(path, LevelDistribution.from_csv, "level file"),
     )
 
 
@@ -341,6 +354,8 @@ def _read_binned_counts(stream, word_bits: int, cells: int, draws: int):
     """
     if word_bits not in (8, 16, 32, 64):
         raise ModelValidationError("word bits must be one of 8, 16, 32, 64")
+    if cells < 2:
+        raise ModelValidationError(f"at least 2 cells are needed, got {cells}")
     space = 1 << word_bits
     if cells > space:
         raise ModelValidationError(
@@ -387,7 +402,12 @@ def _cmd_rngtest(args) -> int:
     if args.input == "-":
         stream = sys.stdin.buffer
     else:
-        stream = open(args.input, "rb")
+        try:
+            stream = open(args.input, "rb")
+        except OSError as exc:
+            raise ModelValidationError(
+                f"cannot read word stream {args.input!r}: {exc.strerror}"
+            ) from None
     try:
         counts, consumed, accepted = _read_binned_counts(
             stream, args.word_bits, args.cells, args.draws
@@ -412,8 +432,7 @@ def _cmd_rngtest(args) -> int:
             p_value = dist.tail_prob(observed, "upper")
             in_zone, zone, rule = True, math.inf, "exact"
         else:
-            coeffs = correction_coeffs(summary, model.n, order=args.order)
-            info = zone_bound(model, kernel, summary)
+            coeffs, info = _corrections(model, kernel, summary, args.order)
             res = tail_probability(
                 abs(x_obs), "upper" if x_obs >= 0.0 else "lower",
                 summary, coeffs, info, args.zone_fraction,
@@ -450,7 +469,7 @@ def _cmd_rngtest(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
+def _add_model_kernel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--model",
         choices=("uniform", "powerlaw", "perturbed", "file"),
@@ -463,9 +482,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, help="perturbation amplitude")
     p.add_argument("--ell-file", help="perturbation profile, one value per line")
     p.add_argument("--probs-file", help="explicit probabilities, one per line")
-
-
-def _add_kernel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--kernel",
         help="statistic: pds:<d>, count:<r>, atleast:<r>, collisions, "
@@ -485,93 +501,81 @@ def _add_kernel_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_format_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_x_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--x", action="append", metavar="GRID",
+        help="standardized deviations, comma separated; repeatable",
+    )
 
 
+def _add_correction_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--order", type=int, choices=(0, 1, 2), default=1)
+    p.add_argument("--zone-fraction", type=float, default=0.5)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="multitails",
         description="Tail approximations for statistics of multinomial allocations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="moment summary of a statistic")
-    _add_model_args(p)
-    _add_kernel_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=_cmd_moments)
+    def command(name, func, title, model_kernel=True):
+        p = sub.add_parser(name, help=title)
+        if model_kernel:
+            _add_model_kernel_args(p)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("tail", help="corrected tail approximations")
-    _add_model_args(p)
-    _add_kernel_args(p)
-    _add_format_arg(p)
-    p.add_argument(
-        "--x", action="append", metavar="GRID",
-        help="standardized deviations, comma separated; repeatable",
-    )
+    command("moments", _cmd_moments, "moment summary of a statistic")
+
+    p = command("tail", _cmd_tail, "corrected tail approximations")
+    _add_x_arg(p)
     p.add_argument("--side", choices=("upper", "lower", "both"), default="upper")
-    p.add_argument("--order", type=int, choices=(0, 1, 2), default=1)
-    p.add_argument("--zone-fraction", type=float, default=0.5)
-    p.set_defaults(func=_cmd_tail)
+    _add_correction_args(p)
 
-    p = sub.add_parser("enumerate", help="exact distribution on a small model")
-    _add_model_args(p)
-    _add_kernel_args(p)
-    _add_format_arg(p)
-    p.add_argument(
-        "--x", action="append", metavar="GRID",
-        help="standardized deviations, comma separated; repeatable",
-    )
+    p = command("enumerate", _cmd_enumerate, "exact distribution on a small model")
+    _add_x_arg(p)
     p.add_argument("--atoms", action="store_true", help="dump every atom")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("simulate", help="Monte Carlo against the approximations")
-    _add_model_args(p)
-    _add_kernel_args(p)
-    _add_format_arg(p)
-    p.add_argument(
-        "--x", action="append", metavar="GRID",
-        help="standardized deviations, comma separated; repeatable",
-    )
+    p = command("simulate", _cmd_simulate, "Monte Carlo against the approximations")
+    _add_x_arg(p)
     p.add_argument("--side", choices=("upper", "lower"), default="upper")
-    p.add_argument("--order", type=int, choices=(0, 1, 2), default=1)
-    p.add_argument("--zone-fraction", type=float, default=0.5)
+    _add_correction_args(p)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("rngtest", help="statistic suite over a raw word stream")
-    _add_format_arg(p)
+    p = command("rngtest", _cmd_rngtest, "statistic suite over a raw word stream",
+                model_kernel=False)
     p.add_argument("--input", default="-", help="word stream file, or - for stdin")
     p.add_argument("--word-bits", type=int, default=64, choices=(8, 16, 32, 64))
     p.add_argument("--cells", type=int, default=1 << 16)
     p.add_argument("--draws", type=int, default=1 << 17)
-    p.add_argument("--order", type=int, choices=(0, 1, 2), default=1)
-    p.add_argument("--zone-fraction", type=float, default=0.5)
-    p.set_defaults(func=_cmd_rngtest)
+    _add_correction_args(p)
 
     return parser
 
 
+# Exit code of each typed error; the first entry that matches wins.
+_EXIT_CODES = {
+    ModelValidationError: 2,
+    UnsupportedCombinationError: 3,
+    InputExhaustedError: 4,
+    EvaluationError: 2,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ModelValidationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedCombinationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

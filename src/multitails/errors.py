@@ -11,8 +11,7 @@ class EvaluationError(RuntimeError):
     """Raised when a numeric evaluation cannot be completed.
 
     Carries enough context to see what broke: the offending summation
-    index for a non-finite term, or the iteration cap for a series that
-    did not settle.
+    index for a non-finite term.
     """
 
     def __init__(self, message: str, *, index: int | None = None):

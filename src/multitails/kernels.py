@@ -248,15 +248,6 @@ class Kernel:
             spec["levels"] = [[l, p] for l, p in self.levels.pmf]
         return spec
 
-    @staticmethod
-    def from_spec(spec: dict) -> "Kernel":
-        spec = dict(spec)
-        family = spec.pop("family")
-        levels = spec.pop("levels", None)
-        if levels is not None:
-            levels = LevelDistribution(tuple((int(l), float(p)) for l, p in levels))
-        return Kernel(family, levels=levels, **spec)
-
 
 def parse_kernel_spec(text: str, load_levels=None) -> Kernel:
     """Parse a compact kernel spec string.

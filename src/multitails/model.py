@@ -10,9 +10,8 @@ ratio n/N, and how small the extreme rates are.
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,12 +26,7 @@ __all__ = [
     "power_law_model",
     "perturbed_uniform_model",
     "explicit_model",
-    "build_model",
     "classify_regime",
-    "model_to_spec",
-    "model_from_spec",
-    "model_spec_json",
-    "model_from_spec_json",
     "probs_to_csv",
     "probs_from_csv",
 ]
@@ -80,7 +74,6 @@ class MultinomialModel:
     n: int
     probs: np.ndarray
     family: str = "explicit"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
@@ -159,7 +152,7 @@ class MultinomialModel:
 def uniform_model(n: int, num_cells: int) -> MultinomialModel:
     """All cells equally likely."""
     probs = np.full(num_cells, 1.0 / num_cells)
-    return MultinomialModel(n=n, probs=probs, family="uniform", params={})
+    return MultinomialModel(n=n, probs=probs, family="uniform")
 
 
 def power_law_model(n: int, num_cells: int, alpha: float) -> MultinomialModel:
@@ -169,9 +162,7 @@ def power_law_model(n: int, num_cells: int, alpha: float) -> MultinomialModel:
     m = np.arange(1, num_cells + 1, dtype=float)
     weights = m**-alpha
     probs = weights / math.fsum(weights.tolist())
-    return MultinomialModel(
-        n=n, probs=probs, family="power_law", params={"alpha": float(alpha)}
-    )
+    return MultinomialModel(n=n, probs=probs, family="power_law")
 
 
 def perturbed_uniform_model(
@@ -193,12 +184,7 @@ def perturbed_uniform_model(
             "1 + delta * ell_m must stay positive for every cell"
         )
     probs = scaled / num_cells
-    return MultinomialModel(
-        n=n,
-        probs=probs,
-        family="perturbed_uniform",
-        params={"delta": float(delta), "ell": tuple(float(v) for v in ell)},
-    )
+    return MultinomialModel(n=n, probs=probs, family="perturbed_uniform")
 
 
 def explicit_model(n: int, probs) -> MultinomialModel:
@@ -206,79 +192,25 @@ def explicit_model(n: int, probs) -> MultinomialModel:
     return MultinomialModel(n=n, probs=np.asarray(probs, dtype=float))
 
 
-def build_model(family: str, n: int, num_cells: int | None = None, **kwargs) -> MultinomialModel:
-    """Dispatch on family name; the CLI and JSON specs funnel through here."""
-    try:
-        if family == "uniform":
-            return uniform_model(n, _need_cells(num_cells))
-        if family == "power_law":
-            return power_law_model(n, _need_cells(num_cells), kwargs.pop("alpha"))
-        if family == "perturbed_uniform":
-            return perturbed_uniform_model(
-                n, _need_cells(num_cells), kwargs.pop("delta"), kwargs.pop("ell")
-            )
-        if family == "explicit":
-            return explicit_model(n, kwargs.pop("probs"))
-    except KeyError as exc:
-        raise ModelValidationError(
-            f"model family {family!r} requires parameter {exc.args[0]!r}"
-        ) from None
-    raise ModelValidationError(f"unknown model family {family!r}")
-
-
-def _need_cells(num_cells: int | None) -> int:
-    if num_cells is None:
-        raise ModelValidationError("this model family requires a cell count")
-    return int(num_cells)
-
-
-def classify_regime(
-    model: MultinomialModel,
-    dense_min_rate: float = DENSE_MIN_RATE,
-    very_sparse_max_rate: float = VERY_SPARSE_MAX_RATE,
-) -> Regime:
+def classify_regime(model: MultinomialModel) -> Regime:
     """Regime from the extreme per-cell rates.
 
-    Dense means even the emptiest cell expects dense_min_rate particles;
+    Dense means even the emptiest cell expects DENSE_MIN_RATE particles;
     very sparse means even the fullest cell expects at most
-    very_sparse_max_rate; everything between is sparse.  Invariant under
+    VERY_SPARSE_MAX_RATE; everything between is sparse.  Invariant under
     scaling n and N together, since the rates only depend on n * p_m.
     """
     rates = model.rates
-    if float(rates.min()) >= dense_min_rate:
+    if float(rates.min()) >= DENSE_MIN_RATE:
         tag = RegimeTag.DENSE
-    elif float(rates.max()) <= very_sparse_max_rate:
+    elif float(rates.max()) <= VERY_SPARSE_MAX_RATE:
         tag = RegimeTag.VERY_SPARSE
     else:
         tag = RegimeTag.SPARSE
     return Regime(tag=tag, uniform=model.is_uniform)
 
 
-# -- serialization ----------------------------------------------------------
-
-def model_to_spec(model: MultinomialModel) -> dict:
-    """JSON-ready dict that reconstructs the model bit-exactly."""
-    spec: dict = {"family": model.family, "n": model.n}
-    if model.family == "explicit":
-        spec["probs"] = [float(p) for p in model.probs]
-    else:
-        spec["N"] = model.num_cells
-        spec.update(
-            {k: (list(v) if isinstance(v, tuple) else v) for k, v in model.params.items()}
-        )
-    return spec
-
-
-def model_from_spec(spec: dict) -> MultinomialModel:
-    spec = dict(spec)
-    try:
-        family = spec.pop("family")
-        n = spec.pop("n")
-    except KeyError as exc:
-        raise ModelValidationError(f"model spec is missing {exc.args[0]!r}") from None
-    num_cells = spec.pop("N", None)
-    return build_model(family, n, num_cells, **spec)
-
+# -- probability files ------------------------------------------------------
 
 def probs_to_csv(probs) -> str:
     """One probability per line at 17 significant digits (lossless for float64)."""
@@ -291,10 +223,3 @@ def probs_from_csv(text: str) -> np.ndarray:
         raise ModelValidationError("probability file is empty")
     return np.array(values)
 
-
-def model_spec_json(model: MultinomialModel) -> str:
-    return json.dumps(model_to_spec(model))
-
-
-def model_from_spec_json(text: str) -> MultinomialModel:
-    return model_from_spec(json.loads(text))

@@ -40,6 +40,9 @@ _PRUNE_LOG = math.log(1e-300)
 # Enumerated statistic values this close (relative, floored at 1) are one atom.
 _MERGE_RTOL = 1e-12
 
+# Enumeration refuses models with more compositions than this.
+_MAX_COMPOSITIONS = 2_000_000
+
 
 def multinomial_log_pmf(counts, model: MultinomialModel) -> float:
     """Exact log probability of one count vector."""
@@ -135,7 +138,6 @@ def enumerate_distribution(
     model: MultinomialModel,
     statistic: Kernel | Callable[[np.ndarray], float],
     frame: str = "canonical",
-    max_compositions: int = 2_000_000,
 ) -> ExactDistribution:
     """Exact distribution of a count-determined statistic by enumeration.
 
@@ -160,9 +162,9 @@ def enumerate_distribution(
     n = model.n
     num_cells = model.num_cells
     total = math.comb(n + num_cells - 1, num_cells - 1)
-    if total > max_compositions:
+    if total > _MAX_COMPOSITIONS:
         raise UnsupportedCombinationError(
-            f"{total} compositions exceed the enumeration cap {max_compositions}"
+            f"{total} compositions exceed the enumeration cap {_MAX_COMPOSITIONS}"
         )
     log_p = np.log(model.probs)
     # lgamma(c+1) for c = 0..n, shared across cells
@@ -329,8 +331,7 @@ def mc_tail_estimate(
 
     Trials are drawn in fixed blocks of max(1, 2**16 // N) trials, each
     seeded by (seed, block); workers get whole blocks, so results do not
-    depend on how many there are.  A seed gives other draws than the
-    per-trial seeding of earlier versions did.  Thresholds use strict
+    depend on how many there are.  Thresholds use strict
     exceedance; x may be any finite real, including negative values.
     """
     if trials < 1000:

@@ -170,6 +170,10 @@ def tail_probability(
     """
     if not (x >= 0.0) or not math.isfinite(x):
         raise ModelValidationError(f"standardized deviation must be >= 0, got {x!r}")
+    if not (zone_fraction > 0.0) or not math.isfinite(zone_fraction):
+        raise ModelValidationError(
+            f"zone fraction must be positive and finite, got {zone_fraction!r}"
+        )
     if side not in ("upper", "lower"):
         raise ModelValidationError(f"side must be 'upper' or 'lower', got {side!r}")
     if isinstance(zone, ZoneInfo):

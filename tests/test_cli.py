@@ -9,8 +9,11 @@ import struct
 import numpy as np
 import pytest
 
-from multitails.cli import _read_binned_counts, main
+from multitails.cli import _RNGTEST_KERNELS, _read_binned_counts, main
 from multitails.errors import InputExhaustedError
+from multitails.kernels import g_second_moment_aggregates, moment_summary, parse_kernel_spec
+from multitails.model import uniform_model
+from multitails.tails import correction_coeffs, tail_probability, zone_bound
 
 
 def run(capsys, *argv):
@@ -367,6 +370,36 @@ class TestRngtest:
         for s in payload["statistics"]:
             assert 0.001 <= s["p_value"] <= 0.999, s["statistic"]
 
+    def test_order_two_asymptotic(self, capsys, tmp_path):
+        # 4096 draws over 64 cells is far too many compositions to enumerate
+        words = np.random.default_rng(11).integers(0, 256, size=4096, dtype=np.uint8)
+        stream = tmp_path / "bytes.bin"
+        stream.write_bytes(words.tobytes())
+        payload = run_json(
+            capsys, "rngtest", "--input", str(stream), "--word-bits", "8",
+            "--cells", "64", "--draws", "4096", "--order", "2",
+        )
+        model = uniform_model(4096, 64)
+        specs = dict(_RNGTEST_KERNELS)
+        in_zone = 0
+        for s in payload["statistics"]:
+            assert s["rule"] != "exact"
+            if not s["in_zone"]:
+                continue
+            in_zone += 1
+            kernel = parse_kernel_spec(specs[s["statistic"]])
+            summary = moment_summary(model, kernel, method="series")
+            aggregates = g_second_moment_aggregates(model, kernel, summary)
+            coeffs = correction_coeffs(summary, model.n, order=2, aggregates=aggregates)
+            x = s["x"]
+            res = tail_probability(
+                abs(x), "upper" if x >= 0.0 else "lower",
+                summary, coeffs, zone_bound(model, kernel, summary),
+            )
+            expected = res.p_corrected if x >= 0.0 else 1.0 - res.p_corrected
+            assert s["p_value"] == expected, s["statistic"]
+        assert in_zone > 0
+
     def test_exhaustion_exit_code(self, capsys, tmp_path):
         stream = tmp_path / "short.bin"
         stream.write_bytes(bytes(64))  # 8 words only
@@ -427,6 +460,45 @@ class TestExitCodes:
             "--frame", "bare", "--method", "closed_form",
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--model", "file", "--n", "10", "--probs-file", "{missing}",
+             "--kernel", "pds:1"],
+            ["moments", "--model", "file", "--n", "10", "--probs-file", "{malformed}",
+             "--kernel", "pds:1"],
+            ["moments", "--model", "perturbed", "--n", "10", "--cells", "4",
+             "--delta", "0.1", "--ell-file", "{missing}", "--kernel", "pds:1"],
+            ["moments", "--model", "perturbed", "--n", "10", "--cells", "4",
+             "--delta", "0.1", "--ell-file", "{malformed}", "--kernel", "pds:1"],
+            ["moments", "--n", "10", "--cells", "4", "--kernel", "unfilled:{missing}"],
+            ["moments", "--n", "10", "--cells", "4", "--kernel", "unfilled:{malformed}"],
+            ["rngtest", "--input", "{missing}"],
+            # an empty stream would exit 4 if it were read before the check
+            ["rngtest", "--input", "{empty}", "--cells", "0"],
+            ["rngtest", "--input", "{empty}", "--cells", "-4"],
+            ["tail", "--n", "10", "--cells", "4", "--kernel", "pds:1", "--x", "1",
+             "--zone-fraction", "nan"],
+        ],
+        ids=[
+            "probs-missing", "probs-malformed", "ell-missing", "ell-malformed",
+            "levels-missing", "levels-malformed", "input-missing", "zero-cells",
+            "negative-cells", "nan-zone-fraction",
+        ],
+    )
+    def test_bad_outside_input(self, capsys, tmp_path, argv):
+        (tmp_path / "malformed.txt").write_text("half,0.5\n0.5\n")
+        (tmp_path / "empty.bin").write_bytes(b"")
+        paths = {
+            "missing": str(tmp_path / "missing.txt"),
+            "malformed": str(tmp_path / "malformed.txt"),
+            "empty": str(tmp_path / "empty.bin"),
+        }
+        code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_argparse_rejects_unknown_choice(self, capsys):
         with pytest.raises(SystemExit) as info:

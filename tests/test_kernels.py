@@ -1,5 +1,6 @@
 """Kernels, frames, and Poissonized moment summaries."""
 
+import json
 import math
 
 import numpy as np
@@ -120,11 +121,18 @@ class TestKernelConstruction:
         assert all(k.describe() for k in kernels)
 
     def test_spec_round_trip(self):
-        for kernel in (
-            Kernel.pds(0.5), Kernel.count_exact(3), Kernel.count_at_least(2),
-            Kernel.collisions(), Kernel.unfilled(TWO_LEVEL),
+        # the spec the CLI prints survives JSON and names every parameter
+        for kernel, spec in (
+            (Kernel.pds(0.5), {"family": "pds", "d": 0.5}),
+            (Kernel.count_exact(3), {"family": "count_exact", "r": 3}),
+            (Kernel.count_at_least(2), {"family": "count_at_least", "r": 2}),
+            (Kernel.collisions(), {"family": "collisions"}),
+            (
+                Kernel.unfilled(TWO_LEVEL),
+                {"family": "unfilled", "levels": [[1, 0.7], [2, 0.3]]},
+            ),
         ):
-            assert Kernel.from_spec(kernel.to_spec()) == kernel
+            assert json.loads(json.dumps(kernel.to_spec())) == spec
 
 
 class TestParseKernelSpec:

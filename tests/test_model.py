@@ -1,4 +1,4 @@
-"""Model builders, regime classification, and spec round-trips."""
+"""Model builders, regime classification, and probability files."""
 
 import dataclasses
 import math
@@ -13,13 +13,8 @@ from multitails.model import (
     MultinomialModel,
     Regime,
     RegimeTag,
-    build_model,
     classify_regime,
     explicit_model,
-    model_from_spec,
-    model_from_spec_json,
-    model_spec_json,
-    model_to_spec,
     perturbed_uniform_model,
     power_law_model,
     probs_from_csv,
@@ -40,7 +35,6 @@ class TestBuilders:
         model = power_law_model(100, 4, 0.5)
         weights = np.array([1.0, 2.0**-0.5, 3.0**-0.5, 4.0**-0.5])
         np.testing.assert_allclose(model.probs, weights / weights.sum(), rtol=1e-14)
-        assert model.params == {"alpha": 0.5}
 
     def test_power_law_zero_alpha_is_uniform(self):
         model = power_law_model(50, 8, 0.0)
@@ -59,26 +53,6 @@ class TestBuilders:
         model = explicit_model(4, [0.1, 0.2, 0.3, 0.4])
         np.testing.assert_allclose(model.probs, [0.1, 0.2, 0.3, 0.4], rtol=1e-15)
         assert model.family == "explicit"
-
-    def test_build_model_dispatch(self):
-        assert build_model("uniform", 10, 5).is_uniform
-        assert build_model("power_law", 10, 5, alpha=1.0).family == "power_law"
-        assert build_model(
-            "perturbed_uniform", 10, 2, delta=0.5, ell=(1.0, -1.0)
-        ).family == "perturbed_uniform"
-        assert build_model("explicit", 10, probs=[0.5, 0.5]).family == "explicit"
-
-    def test_build_model_unknown_family(self):
-        with pytest.raises(ModelValidationError):
-            build_model("zipf", 10, 5)
-
-    def test_build_model_missing_cells(self):
-        with pytest.raises(ModelValidationError):
-            build_model("uniform", 10)
-
-    def test_build_model_missing_param(self):
-        with pytest.raises(ModelValidationError, match="alpha"):
-            build_model("power_law", 10, 5)
 
 
 class TestValidation:
@@ -209,10 +183,6 @@ class TestRegime:
         assert DENSE_MIN_RATE == 10.0
         assert VERY_SPARSE_MAX_RATE == 0.2
 
-    def test_custom_thresholds(self):
-        model = uniform_model(1024, 512)
-        assert classify_regime(model, dense_min_rate=1.5).tag is RegimeTag.DENSE
-
     def test_scale_invariance(self):
         # rates depend only on n * p_m, so scaling n and N together is a no-op
         small = classify_regime(uniform_model(1024, 512))
@@ -237,42 +207,6 @@ class TestRegime:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "model",
-        [
-            uniform_model(1024, 512),
-            power_law_model(2048, 512, 0.5),
-            perturbed_uniform_model(100, 4, 0.1, (1.0, -1.0, 1.0, -1.0)),
-            explicit_model(4, [0.1, 0.2, 0.3, 0.4]),
-        ],
-        ids=["uniform", "power_law", "perturbed", "explicit"],
-    )
-    def test_spec_round_trip_bit_exact(self, model):
-        back = model_from_spec(model_to_spec(model))
-        assert back.n == model.n
-        assert back.family == model.family
-        np.testing.assert_array_equal(back.probs, model.probs)
-
-    def test_spec_uses_cell_count_key(self):
-        spec = model_to_spec(uniform_model(1024, 512))
-        assert spec == {"family": "uniform", "n": 1024, "N": 512}
-
-    def test_explicit_spec_carries_probs(self):
-        spec = model_to_spec(explicit_model(4, [0.25] * 4))
-        assert spec["probs"] == [0.25] * 4
-        assert "N" not in spec
-
-    def test_json_round_trip(self):
-        model = perturbed_uniform_model(100, 4, 0.1, (1.0, -1.0, 1.0, -1.0))
-        back = model_from_spec_json(model_spec_json(model))
-        np.testing.assert_array_equal(back.probs, model.probs)
-
-    def test_spec_missing_key(self):
-        with pytest.raises(ModelValidationError, match="family"):
-            model_from_spec({"n": 10, "N": 4})
-        with pytest.raises(ModelValidationError, match="'n'"):
-            model_from_spec({"family": "uniform", "N": 4})
-
     def test_probs_csv_bit_exact(self):
         rng = np.random.default_rng(7)
         raw = rng.random(64)

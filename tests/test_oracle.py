@@ -160,10 +160,9 @@ class TestEnumeration:
             enumerate_distribution(uniform_model(3, 2), Kernel.unfilled(levels))
 
     def test_composition_cap(self):
-        with pytest.raises(UnsupportedCombinationError):
-            enumerate_distribution(
-                uniform_model(10, 5), Kernel.pds(1.0), max_compositions=10
-            )
+        # C(49, 19), about 1.9e13 compositions, is far above the cap
+        with pytest.raises(UnsupportedCombinationError, match="enumeration cap"):
+            enumerate_distribution(uniform_model(30, 20), Kernel.pds(1.0))
 
 
 class TestExactCountMoments:

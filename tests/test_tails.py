@@ -143,6 +143,13 @@ class TestTailProbability:
         )
         assert res_wide.in_zone
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_zone_fraction(self, fraction):
+        with pytest.raises(ModelValidationError, match="zone fraction"):
+            tail_probability(
+                1.0, "upper", plain_summary(), self.ZERO, 4.0, zone_fraction=fraction
+            )
+
     def test_zone_info_propagates_rule(self):
         info = ZoneInfo(zone=4.0, rule="demo-rule", nu=0.0, scale=2.0)
         res = tail_probability(1.0, "upper", plain_summary(), self.ZERO, info)
