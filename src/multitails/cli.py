@@ -46,7 +46,7 @@ from .model import (
     uniform_model,
 )
 from .oracle import enumerate_distribution, mc_tail_estimate
-from .tails import correction_coeffs, tail_probability, zone_bound
+from .tails import check_zone_fraction, correction_coeffs, tail_probability, zone_bound
 
 __all__ = ["main"]
 
@@ -572,6 +572,9 @@ _EXIT_CODES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # tail, simulate and rngtest take a zone fraction; check it before any work
+        if "zone_fraction" in args:
+            check_zone_fraction(args.zone_fraction)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

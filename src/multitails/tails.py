@@ -28,6 +28,7 @@ __all__ = [
     "CorrectionCoeffs",
     "TailResult",
     "ZoneInfo",
+    "check_zone_fraction",
     "correction_coeffs",
     "tail_probability",
     "zone_bound",
@@ -153,6 +154,14 @@ def correction_coeffs(
     return CorrectionCoeffs(mu0, mu1, 2)
 
 
+def check_zone_fraction(zone_fraction: float) -> None:
+    """Raise ModelValidationError unless the zone fraction is positive and finite."""
+    if not (zone_fraction > 0.0) or not math.isfinite(zone_fraction):
+        raise ModelValidationError(
+            f"zone fraction must be positive and finite, got {zone_fraction!r}"
+        )
+
+
 def tail_probability(
     x: float,
     side: str,
@@ -170,10 +179,7 @@ def tail_probability(
     """
     if not (x >= 0.0) or not math.isfinite(x):
         raise ModelValidationError(f"standardized deviation must be >= 0, got {x!r}")
-    if not (zone_fraction > 0.0) or not math.isfinite(zone_fraction):
-        raise ModelValidationError(
-            f"zone fraction must be positive and finite, got {zone_fraction!r}"
-        )
+    check_zone_fraction(zone_fraction)
     if side not in ("upper", "lower"):
         raise ModelValidationError(f"side must be 'upper' or 'lower', got {side!r}")
     if isinstance(zone, ZoneInfo):

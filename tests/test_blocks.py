@@ -8,7 +8,7 @@ from multitails.kernels import (
     FRAMES,
     Kernel,
     LevelDistribution,
-    MomentSummary,
+    moment_summary,
     statistic_value,
 )
 from multitails.model import explicit_model, uniform_model
@@ -72,19 +72,22 @@ def test_block_rows_equal_single_vectors(model, kernel, rows, seed):
     st.integers(0, 10**6),
     st.sampled_from([Kernel.pds(1.0), Kernel.count_exact(0), Kernel.unfilled(LEVELS)]),
     st.integers(0, 2**31 - 1),
+    st.booleans(),
 )
-@example(512, 0, 0, Kernel.pds(1.0), 7)  # 1024 trials, exactly 8 blocks
-def test_worker_split_invariance(cells, more_blocks, extra, kernel, seed):
-    model = _two_rate_model(2 * cells, cells, cells // 3, 2.0)
+@example(512, 0, 0, Kernel.pds(1.0), 7, False)  # 1024 trials, exactly 8 blocks
+@example(512, 0, 0, Kernel.pds(1.0), 7, True)
+def test_worker_split_invariance(cells, more_blocks, extra, kernel, seed, uniform):
+    # a uniform model at n = 2 N draws its blocks as cell labels, the
+    # two-rate model through rng.multinomial
+    if uniform:
+        model = uniform_model(2 * cells, cells)
+    else:
+        model = _two_rate_model(2 * cells, cells, cells // 3, 2.0)
     rows = _block_rows(model)
     # at least 1000 trials, a last block cut short unless extra % rows == 0
     trials = rows * (-(-1000 // rows) + more_blocks) + extra % rows
-    # thresholds near the centre of each statistic, so that hits vary
-    centre = {"pds": cells, "count_exact": 0.15 * cells, "unfilled": 0.5 * cells}
-    summary = MomentSummary(
-        mean=centre[kernel.family], tau=0.0, raw_var=cells, var=cells,
-        beta3=0.0, beta4=0.0,
-    )
+    # thresholds around the mean of the statistic, so that hits vary
+    summary = moment_summary(model, kernel)
     xs = [-0.5, 0.0, 1.0]
     one = mc_tail_estimate(model, kernel, summary, xs, trials, seed, workers=1)
     assert 0 < sum(one.hits) < len(xs) * trials

@@ -254,8 +254,8 @@ class TestSimulate:
             "--seed", "11",
         )
         rows = payload["results"]
-        assert rows[0]["p_hat"] == pytest.approx(0.132, rel=1e-12)
-        assert rows[1]["p_hat"] == pytest.approx(0.031, rel=1e-12)
+        assert rows[0]["p_hat"] == pytest.approx(0.148, rel=1e-12)
+        assert rows[1]["p_hat"] == pytest.approx(0.035, rel=1e-12)
         assert all(math.isfinite(r["z_discrepancy"]) for r in rows)
         assert payload["trials"] == 1000
 
@@ -480,11 +480,20 @@ class TestExitCodes:
             ["rngtest", "--input", "{empty}", "--cells", "-4"],
             ["tail", "--n", "10", "--cells", "4", "--kernel", "pds:1", "--x", "1",
              "--zone-fraction", "nan"],
+            # no approximation is evaluated at x < 0
+            ["simulate", "--n", "10", "--cells", "4", "--kernel", "pds:1", "--x=-1",
+             "--trials", "1000", "--zone-fraction", "nan"],
+            # an empty stream would exit 4 if it were read before the check
+            ["rngtest", "--input", "{empty}", "--cells", "2", "--draws", "2",
+             "--zone-fraction", "nan"],
+            ["rngtest", "--input", "{empty}", "--cells", "2", "--draws", "2",
+             "--zone-fraction=-3"],
         ],
         ids=[
             "probs-missing", "probs-malformed", "ell-missing", "ell-malformed",
             "levels-missing", "levels-malformed", "input-missing", "zero-cells",
-            "negative-cells", "nan-zone-fraction",
+            "negative-cells", "nan-zone-fraction", "simulate-nan-zone-fraction",
+            "rngtest-nan-zone-fraction", "rngtest-negative-zone-fraction",
         ],
     )
     def test_bad_outside_input(self, capsys, tmp_path, argv):

@@ -217,11 +217,12 @@ class TestSampling:
 
         monkeypatch.setattr(oracle, "statistic_value", record)
 
-        def draw(seed, block, thresholds=(0.0,)):
-            first = block * self.ROWS
+        def draw(seed, block, thresholds=(0.0,), model=self.MODEL):
+            rows = _block_rows(model)
+            first = block * rows
             hits = _mc_chunk(
-                (self.MODEL, Kernel.pds(1.0), "canonical", thresholds, "upper",
-                 seed, first, first + self.ROWS)
+                (model, Kernel.pds(1.0), "canonical", thresholds, "upper",
+                 seed, first, first + rows)
             )
             return seen.pop(), hits
 
@@ -232,16 +233,37 @@ class TestSampling:
         assert _block_rows(uniform_model(1024, 512)) == 128
         assert _block_rows(uniform_model(10, 2**17)) == 1
 
+    @staticmethod
+    def label_counts(model, seed, block):
+        # n cell labels per row from default_rng((seed, block)), counted per row
+        cells = model.num_cells
+        labels = np.random.default_rng((seed, block)).integers(
+            0, cells, size=(_block_rows(model), model.n)
+        )
+        return (labels[:, :, None] == np.arange(cells)).sum(axis=1)
+
     def test_deterministic_in_seed_and_block(self, draw_block):
         first, _ = draw_block(3, 1)
         np.testing.assert_array_equal(first, draw_block(3, 1)[0])
-        # block b is the documented stream default_rng((seed, b))
-        stream = np.random.default_rng((3, 1))
-        np.testing.assert_array_equal(
-            first, stream.multinomial(16, self.MODEL.probs, size=self.ROWS)
-        )
+        # block b of a uniform model is the label stream of default_rng((seed, b))
+        np.testing.assert_array_equal(first, self.label_counts(self.MODEL, 3, 1))
         assert not np.array_equal(first, draw_block(3, 2)[0])
         assert not np.array_equal(first, draw_block(4, 1)[0])
+
+    def test_labels_up_to_the_fill_cut(self, draw_block):
+        # n = 16 N still draws labels
+        model = uniform_model(32, 2)
+        counts, _ = draw_block(3, 1, model=model)
+        np.testing.assert_array_equal(counts, self.label_counts(model, 3, 1))
+
+    # a non-uniform model, and a uniform one with n > 16 N
+    @pytest.mark.parametrize("model", [MIXED, uniform_model(64, 2)], ids=["non-uniform", "dense"])
+    def test_other_blocks_are_the_multinomial_stream(self, draw_block, model):
+        counts, _ = draw_block(3, 1, model=model)
+        stream = np.random.default_rng((3, 1))
+        np.testing.assert_array_equal(
+            counts, stream.multinomial(model.n, model.probs, size=_block_rows(model))
+        )
 
     def test_counts_shape_and_total(self, draw_block):
         counts, _ = draw_block(0, 0)
@@ -271,9 +293,9 @@ class TestMcTailEstimate:
         est = mc_tail_estimate(
             self.MODEL, self.KERNEL, self.SUMMARY, [0.5, 1.5], 1000, seed=11
         )
-        assert est.hits == (132, 31)
+        assert est.hits == (148, 35)
         assert est.threshold == (10.0, 14.0)
-        assert est.p_hat == (0.132, 0.031)
+        assert est.p_hat == (0.148, 0.035)
 
     def test_worker_split_invariance(self):
         one = mc_tail_estimate(
