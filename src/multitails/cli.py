@@ -176,9 +176,7 @@ def _cmd_moments(args) -> int:
 
 def _corrections(model, kernel, summary, order):
     """(correction coefficients, zone) for a summary; order 2 needs the aggregates."""
-    aggregates = None
-    if order == 2:
-        aggregates = g_second_moment_aggregates(model, kernel, summary)
+    aggregates = g_second_moment_aggregates(model, kernel, summary) if order == 2 else None
     coeffs = correction_coeffs(summary, model.n, order=order, aggregates=aggregates)
     return coeffs, zone_bound(model, kernel, summary)
 

@@ -360,6 +360,7 @@ class FrameMap(NamedTuple):
             beta4=a**4 * s.beta4,
             frame=frame,
             approximate=s.approximate,
+            aggregates=self.aggregates(s.aggregates),
         )
 
     def aggregates(self, aggregates: tuple[float, float]) -> tuple[float, float]:
@@ -548,6 +549,8 @@ class MomentSummary:
     beta4    - sum over cells of E g^4
     frame    - which kernel form these numbers describe
     approximate - True for leading-order closed forms (small-rate expansions)
+    aggregates - (sum (E g^2)^2, sum E g^2 (x - rate)) over cells, the order-2
+               inputs of correction_coeffs; nan on approximate summaries
     """
 
     mean: float
@@ -558,6 +561,7 @@ class MomentSummary:
     beta4: float
     frame: str = "canonical"
     approximate: bool = False
+    aggregates: tuple[float, float] = (math.nan, math.nan)
 
     def __post_init__(self):
         if not self.approximate and not (self.var > 0.0):
@@ -645,73 +649,63 @@ def _series_summary(model, kernel, frame) -> MomentSummary:
     cov = np.empty_like(rates)
     for i, lam in enumerate(rates):
         fn, _ = _cell_fn(kernel, lam, frame)
-        centers[i] = expect_fn(fn, lam)
-        cov[i] = expect_fn(lambda x: fn(x) * (x - lam), lam)
+        centers[i], cov[i] = expect_fn(lambda x: (h := fn(x), h * (x - lam)), lam)
     tau = float(mults @ cov) / n
-    var, beta3, beta4 = _adjusted_sums(model, kernel, frame, centers, tau, (2, 3, 4))
+    var, beta3, beta4, aggregates = _adjusted_sums(model, kernel, frame, centers, tau)
     return MomentSummary(
         mean=float(mults @ centers), tau=tau, raw_var=var + n * tau * tau, var=var,
-        beta3=beta3, beta4=beta4, frame=frame,
+        beta3=beta3, beta4=beta4, frame=frame, aggregates=aggregates,
     )
 
 
-def _adjusted_sums(model, kernel, frame, centers, tau, powers) -> list[float]:
-    """Sums over cells of E g^k, k in powers, one pass over the distinct rates.
+def _adjusted_sums(model, kernel, frame, centers, tau):
+    """(sum E g^2, sum E g^3, sum E g^4, aggregates) over cells, one window walk per rate.
 
     g = h - E h - tau (x - rate) is the adjusted per-cell kernel; centers
-    holds E h per distinct rate.  The series and closed-form routes share
-    this pass.
+    holds E h per distinct rate.  The series and closed-form routes share it.
     """
     rates, mults = model.rate_groups()
-    sums = [0.0] * len(powers)
+    s2 = s3 = s4 = s_sq = s_cross = 0.0
     for lam, mult, center in zip(rates, mults, centers):
         fn, is_random = _cell_fn(kernel, lam, frame)
-        for j, k in enumerate(powers):
-            sums[j] += mult * expect_fn(_g_power(fn, is_random, center, tau, lam, k), lam)
-    return [float(s) for s in sums]
+        eg2, eg3, eg4, eg2x = expect_fn(_g_terms(fn, is_random, center, tau, lam), lam)
+        s2 += mult * eg2
+        s3 += mult * eg3
+        s4 += mult * eg4
+        s_sq += mult * eg2 * eg2
+        s_cross += mult * eg2x
+    return float(s2), float(s3), float(s4), (float(s_sq), float(s_cross))
 
 
-def _g_power(fn, is_random, center, tau, lam, power):
+def _g_terms(fn, is_random, center, tau, lam):
+    """x -> (g^2, g^3, g^4, g^2 (x - rate)) for the adjusted kernel g."""
     if is_random:
         # Kernel is Bernoulli(fn(x)) given count x; average the two
         # branches of (value - shift)^power.
-        def g_pow(x):
+        def terms(x):
             w = fn(x)
             shift = center + tau * (x - lam)
-            return w * (1.0 - shift) ** power + (1.0 - w) * (-shift) ** power
+            g2, g3, g4 = (
+                w * (1.0 - shift) ** p + (1.0 - w) * (-shift) ** p for p in (2, 3, 4)
+            )
+            return g2, g3, g4, g2 * (x - lam)
     else:
-        def g_pow(x):
-            return (fn(x) - center - tau * (x - lam)) ** power
-    return g_pow
+        def terms(x):
+            g = fn(x) - center - tau * (x - lam)
+            g2 = g ** 2
+            return g2, g ** 3, g ** 4, g2 * (x - lam)
+    return terms
 
 
 def g_second_moment_aggregates(
-    model: MultinomialModel,
-    kernel: Kernel,
-    summary: MomentSummary,
+    model: MultinomialModel, kernel: Kernel, summary: MomentSummary
 ) -> tuple[float, float]:
     """(sum over cells of (E g^2)^2, sum over cells of E g^2 (x - rate)).
 
-    These feed the second correction coefficient.  For a statistic that
-    is an affine image of another, the given summary is mapped back to
-    the source, whose aggregates are summed and mapped forward.
+    These feed the second correction coefficient.  The summary pass sums
+    them and FrameMap.summary maps them, so this reads summary.aggregates.
     """
-    source, frame, fmap = resolve_frame(model, kernel, summary.frame)
-    if fmap is not _IDENTITY:
-        summary = fmap.inverse().summary(summary, model.n, frame)
-    tau = summary.tau
-    rates, mults = model.rate_groups()
-    s_sq = 0.0
-    s_cross = 0.0
-    for lam, mult in zip(rates, mults):
-        fn, is_random = _cell_fn(source, lam, frame)
-        center = expect_fn(fn, lam)
-        g2 = _g_power(fn, is_random, center, tau, lam, 2)
-        eg2 = expect_fn(g2, lam)
-        eg2x = expect_fn(lambda x: g2(x) * (x - lam), lam)
-        s_sq += mult * eg2 * eg2
-        s_cross += mult * eg2x
-    return fmap.aggregates((s_sq, s_cross))
+    return summary.aggregates
 
 
 # closed forms ---------------------------------------------------------------
@@ -720,10 +714,10 @@ def _closed_summary(model, kernel, frame) -> MomentSummary:
     closed = _closed_moments(model, kernel, frame)
     if closed is not None:
         mean, tau, raw_var, centers = closed
-        beta3, beta4 = _adjusted_sums(model, kernel, frame, centers, tau, (3, 4))
+        _, beta3, beta4, aggregates = _adjusted_sums(model, kernel, frame, centers, tau)
         return MomentSummary(
             mean=mean, tau=tau, raw_var=raw_var, var=raw_var - model.n * tau * tau,
-            beta3=beta3, beta4=beta4, frame=frame,
+            beta3=beta3, beta4=beta4, frame=frame, aggregates=aggregates,
         )
     if kernel.family == "pds":
         if classify_regime(model).very_sparse:

@@ -9,6 +9,7 @@ small models, binomial occupancy moments, and seeded simulation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -225,23 +226,22 @@ def exact_count_moments(model: MultinomialModel, r: int) -> tuple[float, float]:
     if 2 * r > n:
         cross = 0.0
     else:
-        rest = 1.0 - p[:, None] - p[None, :]
+        # a pair probability depends only on the two cell probabilities: sum over
+        # distinct ones q, weighted m_i m_j off the diagonal and m_i (m_i - 1) on it
+        q, m = np.unique(p, return_counts=True)
+        log_q = np.log(q)
+        rest = 1.0 - q[:, None] - q[None, :]
         log_pair_base = (
             math.lgamma(n + 1) - 2.0 * lg_r - math.lgamma(n - 2 * r + 1)
-            + r * (log_p[:, None] + log_p[None, :])
+            + r * (log_q[:, None] + log_q[None, :])
         )
-        if n == 2 * r:
-            # the remaining cells get count zero; rest^0 = 1 even at rest = 0
-            pair = np.exp(log_pair_base)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pair = np.where(
-                    rest > 0.0,
-                    np.exp(log_pair_base + (n - 2 * r) * np.log(np.maximum(rest, 1e-320))),
-                    0.0,
-                )
-        np.fill_diagonal(pair, 0.0)
-        cross = float(pair.sum())
+        # n = 2r leaves the other cells count zero, and rest^0 = 1 even at rest = 0
+        pair = np.where(
+            (rest > 0.0) | (n == 2 * r),
+            np.exp(log_pair_base + (n - 2 * r) * np.log(np.maximum(rest, 1e-320))),
+            0.0,
+        )
+        cross = float(((np.outer(m, m) - np.diag(m)) * pair).sum())
     second = mean + cross
     return mean, second - mean * mean
 
@@ -321,6 +321,11 @@ def _mc_chunk(args) -> np.ndarray:
     return hits
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _wilson(hits: int, trials: int) -> tuple[float, float, float]:
     z = _WILSON_Z
     p_hat = hits / trials
@@ -348,16 +353,20 @@ def mc_tail_estimate(
     """Monte Carlo estimate of P{T > mean + x sigma} (or the lower analog).
 
     Trials are drawn in fixed blocks of max(1, 2**16 // N) trials, each
-    seeded by (seed, block); workers get whole blocks, so results do not
-    depend on how many there are.  A block of a uniform model with
-    n <= 16 N is drawn as integer cell labels counted by one bincount,
-    any other block by rng.multinomial.  Thresholds use strict
+    seeded by (seed, block).  The trials are split into min(workers,
+    blocks) runs of whole blocks, which min(runs, usable CPUs) processes
+    share, so results do not depend on the split.  A block of a uniform
+    model with n <= 16 N is drawn as integer cell labels counted by one
+    bincount, any other block by rng.multinomial.  Thresholds use strict
     exceedance; x may be any finite real, including negative values.
     """
     if trials < 1000:
         raise EvaluationError("tail estimation needs at least 1000 trials")
     if side not in ("upper", "lower"):
         raise EvaluationError(f"side must be 'upper' or 'lower', got {side!r}")
+    workers = int(workers)
+    if workers < 1:
+        raise EvaluationError(f"workers must be at least 1, got {workers}")
     xs = [float(x) for x in x_list]
     if any(not math.isfinite(x) for x in xs):
         raise EvaluationError("x values must be finite")
@@ -367,37 +376,30 @@ def mc_tail_estimate(
     else:
         thresholds = [summary.mean - x * sigma for x in xs]
 
-    workers = max(1, int(workers))
-    if workers == 1:
-        hits = _mc_chunk((model, kernel, frame, thresholds, side, seed, 0, trials))
+    rows = _block_rows(model)
+    blocks = -(-trials // rows)
+    edges = np.linspace(0, blocks, min(workers, blocks) + 1, dtype=int)
+    bounds = [min(int(b) * rows, trials) for b in edges]
+    jobs = [
+        (model, kernel, frame, thresholds, side, seed, a, b)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    # a fork pool starts every process at once: no more than runs or CPUs
+    size = min(len(jobs), _usable_cpus())
+    if size == 1:
+        parts = list(map(_mc_chunk, jobs))
     else:
-        rows = _block_rows(model)
-        blocks = np.linspace(0, -(-trials // rows), workers + 1, dtype=int)
-        bounds = [min(int(b) * rows, trials) for b in blocks]
-        jobs = [
-            (model, kernel, frame, thresholds, side, seed, a, b)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             parts = list(pool.map(_mc_chunk, jobs))
-        hits = np.sum(parts, axis=0)
-
-    p_hat = []
-    lo = []
-    hi = []
-    for h in hits.tolist():
-        p, a, b = _wilson(h, trials)
-        p_hat.append(p)
-        lo.append(a)
-        hi.append(b)
+    hits = np.sum(parts, axis=0)
+    wilson = [_wilson(h, trials) for h in hits.tolist()]
     return McEstimate(
         x=tuple(xs),
         threshold=tuple(thresholds),
         hits=tuple(int(h) for h in hits),
-        p_hat=tuple(p_hat),
-        ci_low=tuple(lo),
-        ci_high=tuple(hi),
+        p_hat=tuple(w[0] for w in wilson),
+        ci_low=tuple(w[1] for w in wilson),
+        ci_high=tuple(w[2] for w in wilson),
         trials=trials,
         seed=seed,
         side=side,

@@ -11,6 +11,7 @@ useful as an independent cross-check at small rates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -174,11 +175,14 @@ def _window_weights(lam: float) -> tuple[int, list[float]]:
     return lo, weights
 
 
-def expect_fn(fn, lam: float) -> float:
+def expect_fn(fn, lam: float) -> float | tuple[float, ...]:
     """E fn(X) for X Poisson with rate lam, summed over one fixed window.
 
     The terms fn(k) P{X = k}, k in [max(0, lam - 12 sqrt(lam) - 50),
     lam + 12 sqrt(lam) + 50], are added by math.fsum with one rounding.
+    fn(k) may return a tuple of floats; each entry is then summed on its
+    own and a tuple comes back, so one walk of the window gives several
+    expectations.  A plain float is summed as a 1-tuple.
     A window above 0 is divided by its total weight, so its weights sum
     to 1 and expect_fn(lambda k: 1.0, lam) == 1.0.  A window that starts
     at 0 already holds the mass to within rounding and is not divided:
@@ -188,17 +192,18 @@ def expect_fn(fn, lam: float) -> float:
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"rate must be a positive finite real, got {lam}")
     lo, weights = _window_weights(lam)
-    terms = []
-    for k, w in enumerate(weights, lo):
-        val = fn(k)
-        if not math.isfinite(val):
-            raise EvaluationError(
-                f"fn({k}) is not finite in Poisson expectation at rate {lam}",
-                index=k,
-            )
-        terms.append(val * w)
-    total = math.fsum(terms)
-    return total if lo == 0 else total / math.fsum(weights)
+    rows = [fn(k) for k in range(lo, lo + len(weights))]
+    tupled = isinstance(rows[0], tuple)
+    cols = list(zip(*rows)) if tupled else [rows]
+    if not all(all(map(math.isfinite, col)) for col in cols):
+        k = lo + next(i for i, row in enumerate(zip(*cols)) if not all(map(math.isfinite, row)))
+        raise EvaluationError(
+            f"fn({k}) is not finite in Poisson expectation at rate {lam}", index=k
+        )
+    # x / 1.0 == x, so a window from 0 is left as summed
+    mass = 1.0 if lo == 0 else math.fsum(weights)
+    sums = tuple(math.fsum(map(operator.mul, col, weights)) / mass for col in cols)
+    return sums if tupled else sums[0]
 
 
 def expect_fn_forward_diff(fn, lam: float, max_order: int) -> float:

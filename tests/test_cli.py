@@ -162,6 +162,19 @@ class TestTail:
         assert payload["mu1"] != 0.0
         assert payload["order"] == 2
 
+    def test_order_two_refused_on_approximate_summary(self, capsys):
+        # very sparse closed forms carry no third/fourth moment sums, so no
+        # order-2 aggregates either
+        code, _, err = run(
+            capsys, "tail", "--model", "uniform", "--n", "8", "--cells", "400",
+            "--kernel", "pds:0.5", "--method", "closed_form", "--x", "1", "--order", "2",
+        )
+        assert code == 2
+        assert err == (
+            "error: correction coefficients need third/fourth moment sums; "
+            "approximate closed-form summaries do not carry them\n"
+        )
+
     def test_low_rate_chi_square_zone_serializes(self, capsys, tmp_path):
         # smallest rate 1/2 takes the low-rate chi-square zone, whose
         # arithmetic runs on numpy scalars; the JSON must still be plain
@@ -488,12 +501,15 @@ class TestExitCodes:
              "--zone-fraction", "nan"],
             ["rngtest", "--input", "{empty}", "--cells", "2", "--draws", "2",
              "--zone-fraction=-3"],
+            ["simulate", "--n", "10", "--cells", "4", "--kernel", "pds:1", "--x", "1",
+             "--trials", "1000", "--workers", "0"],
         ],
         ids=[
             "probs-missing", "probs-malformed", "ell-missing", "ell-malformed",
             "levels-missing", "levels-malformed", "input-missing", "zero-cells",
             "negative-cells", "nan-zone-fraction", "simulate-nan-zone-fraction",
             "rngtest-nan-zone-fraction", "rngtest-negative-zone-fraction",
+            "simulate-zero-workers",
         ],
     )
     def test_bad_outside_input(self, capsys, tmp_path, argv):

@@ -24,7 +24,9 @@ from multitails.kernels import (
     tau_sparse_approx,
     unfilled_sparse_expansion,
 )
-from multitails.model import explicit_model, uniform_model
+from multitails import kernels
+from multitails.kernels import resolve_frame
+from multitails.model import explicit_model, power_law_model, uniform_model
 from multitails.poisson import expect_fn, poisson_pmf
 
 TWO_LEVEL = LevelDistribution(((1, 0.7), (2, 0.3)))
@@ -685,6 +687,69 @@ class TestAggregates:
         )
         assert div[0] == pytest.approx(a**4 * power[0], rel=1e-11)
         assert div[1] == pytest.approx(a**2 * power[1], rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "kernel, frame, method",
+        [
+            (kernel, "canonical", method)
+            for kernel in (Kernel.collisions(), Kernel.count_at_least(1))
+            for method in ("auto", "series", "closed_form")
+        ]
+        # no closed form for the divergence outside the very sparse regime
+        + [(Kernel.pds(d), "divergence", m) for d in (0.5, 2.0) for m in ("auto", "series")],
+    )
+    def test_affine_images_carry_mapped_source_aggregates(self, kernel, frame, method):
+        model = explicit_model(30, [0.05, 0.15, 0.2, 0.25, 0.35])
+        source, source_frame, fmap = resolve_frame(model, kernel, frame)
+        base = moment_summary(model, source, method=method, frame=source_frame)
+        got = moment_summary(model, kernel, method=method, frame=frame)
+        assert got.aggregates == fmap.aggregates(base.aggregates)
+        assert g_second_moment_aggregates(model, kernel, got) == got.aggregates
+
+    def test_approximate_summary_carries_no_aggregates(self):
+        model = uniform_model(8, 400)
+        summary = moment_summary(model, Kernel.pds(0.5), method="closed_form")
+        assert summary.approximate
+        assert all(math.isnan(a) for a in summary.aggregates)
+
+
+class TestWindowWalks:
+    """Each distinct rate's Poisson window is walked once per pass."""
+
+    MODEL = power_law_model(60, 30, 0.7)
+    KERNELS = [
+        Kernel.pds(1.0), Kernel.pds(0.0), Kernel.pds(-0.5), Kernel.pds(2.0 / 3.0),
+        Kernel.count_exact(0), Kernel.count_exact(2), Kernel.count_at_least(1),
+        Kernel.count_at_least(2), Kernel.collisions(), Kernel.unfilled(TWO_LEVEL),
+    ]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(fn, lam):
+            calls.append(lam)
+            return expect_fn(fn, lam)
+
+        monkeypatch.setattr(kernels, "expect_fn", counted)
+        return calls
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.describe())
+    @pytest.mark.parametrize("method", ["auto", "series", "closed_form"])
+    def test_calls_per_distinct_rate(self, calls, kernel, method):
+        model = self.MODEL
+        distinct = model.rate_groups()[0].size
+        try:
+            summary = moment_summary(model, kernel, method=method)
+        except UnsupportedCombinationError:
+            assert method == "closed_form"
+            return
+        # series: (h, h (x - rate)) then (g^2, g^3, g^4, g^2 (x - rate));
+        # closed forms give E h, so only the second pass is walked
+        assert len(calls) == (distinct if method == "closed_form" else 2 * distinct)
+        del calls[:]
+        g_second_moment_aggregates(model, kernel, summary)
+        assert calls == []
 
 
 class TestAutoCrossCheck:

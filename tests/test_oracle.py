@@ -1,6 +1,7 @@
 """Exact distributions, exact moments, and seeded Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,23 @@ class TestExactCountMoments:
     def test_r_above_n(self):
         assert exact_count_moments(MIXED, 9) == (0.0, 0.0)
 
+    def test_memory_grows_with_distinct_probabilities(self):
+        # N x N pair matrices would take several GB here
+        num_cells = 16384
+        n = 2 * num_cells
+        model = uniform_model(n, num_cells)
+        tracemalloc.start()
+        try:
+            mean, var = exact_count_moments(model, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        want_mean = num_cells * (1.0 - 1.0 / num_cells) ** n
+        pairs = num_cells * (num_cells - 1) * (1.0 - 2.0 / num_cells) ** n
+        assert mean == pytest.approx(want_mean, rel=1e-12)
+        assert var == pytest.approx(want_mean + pairs - want_mean**2, rel=1e-8)
+
     def test_r_validation(self):
         with pytest.raises(EvaluationError):
             exact_count_moments(MIXED, -1)
@@ -361,6 +379,46 @@ class TestMcTailEstimate:
             mc_tail_estimate(
                 self.MODEL, self.KERNEL, self.SUMMARY, [math.inf], 1000, seed=0
             )
+
+    def test_workers_floor(self):
+        with pytest.raises(EvaluationError, match="workers"):
+            mc_tail_estimate(
+                self.MODEL, self.KERNEL, self.SUMMARY, [1.0], 1000, seed=0, workers=0
+            )
+
+    @pytest.mark.parametrize(
+        "workers, cpus, size",
+        [(5000, 4, 4), (5000, 64, 10), (10**12, 4, 4), (3, 64, 3), (2, 1, None),
+         (1, 64, None)],
+    )
+    def test_pool_size(self, monkeypatch, workers, cpus, size):
+        # 20 000 trials of 2048-row blocks are 10 blocks; the fake pool maps
+        # in this process and records its size
+        model = uniform_model(64, 32)
+        summary = moment_summary(model, self.KERNEL)
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        est = mc_tail_estimate(
+            model, self.KERNEL, summary, [0.5, 1.5], 20_000, seed=3, workers=workers
+        )
+        assert sizes == ([] if size is None else [size])
+        monkeypatch.undo()
+        assert est == mc_tail_estimate(model, self.KERNEL, summary, [0.5, 1.5], 20_000, seed=3)
 
     def test_dict_round_trip(self):
         est = mc_tail_estimate(self.MODEL, self.KERNEL, self.SUMMARY, [1.0], 1000, seed=0)

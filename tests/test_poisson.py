@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitails.errors import EvaluationError
 from multitails.poisson import (
@@ -207,6 +209,55 @@ class TestExpectFn:
         with pytest.raises(EvaluationError) as err:
             expect_fn(lambda x: math.inf if x == 3 else 1.0, 2.0)
         assert "3" in str(err.value)
+
+
+# one entry k -> c sin(a k + b) k^p of a tuple-valued fn
+entries = st.tuples(
+    st.floats(-3.0, 3.0), st.floats(0.01, 2.0), st.floats(-3.0, 3.0), st.integers(0, 3)
+)
+# (entry, where in the window as a fraction of its half-width, value)
+bad_values = st.none() | st.tuples(
+    st.integers(0, 3), st.floats(-1.0, 1.0), st.sampled_from([math.inf, -math.inf, math.nan])
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    # windows start at 0 up to a rate of about 233 and above 0 past it
+    lam=st.floats(0.05, 2000.0) | st.floats(225.0, 245.0),
+    params=st.lists(entries, min_size=1, max_size=4),
+    bad=bad_values,
+)
+def test_tuple_entries_equal_scalar_expectations(lam, params, bad):
+    bad_k = None
+    if bad is not None:
+        bad_k = max(0, int(lam + bad[1] * (12.0 * math.sqrt(lam) + 50.0)))
+
+    def entry(j):
+        c, a, b, p = params[j]
+
+        def f(k):
+            if bad is not None and bad[0] % len(params) == j and k == bad_k:
+                return bad[2]
+            return c * math.sin(a * k + b) * k**p
+
+        return f
+
+    fns = [entry(j) for j in range(len(params))]
+    scalars, bad_indices = [], []
+    for f in fns:
+        try:
+            scalars.append(expect_fn(f, lam))
+        except EvaluationError as err:
+            bad_indices.append(err.index)
+    if bad_indices:
+        # the tuple walk stops at the first k where any entry is not finite
+        with pytest.raises(EvaluationError) as err:
+            expect_fn(lambda k: tuple(f(k) for f in fns), lam)
+        assert err.value.index == min(bad_indices)
+    else:
+        assert all(type(s) is float for s in scalars)
+        assert expect_fn(lambda k: tuple(f(k) for f in fns), lam) == tuple(scalars)
 
 
 class TestForwardDiff:
