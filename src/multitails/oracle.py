@@ -205,45 +205,45 @@ def enumerate_distribution(
 def exact_count_moments(model: MultinomialModel, r: int) -> tuple[float, float]:
     """Exact mean and variance of the number of cells with count exactly r.
 
-    Marginals are binomial; pairs need the trinomial joint
-    P{c_a = r, c_b = r}, which vanishes when 2r > n.
+    Marginals P_i are binomial; pairs need the trinomial joint P_ij =
+    P{c_i = r, c_j = r}, which vanishes when 2r > n.  The variance is
+    sum P_i (1 - P_i) + sum_{i != j} P_i P_j expm1(L_ij) with
+    L_ij = log(P_ij / (P_i P_j)) built from log1p terms, so it is never a
+    difference of the nearly equal second moment and squared mean.
     """
     if r < 0 or r != int(r):
         raise EvaluationError("r must be a nonnegative integer")
     if r > model.n:
         return 0.0, 0.0
     n = model.n
-    p = model.probs
-    log_p = np.log(p)
-    lg_r = math.lgamma(r + 1)
-    # P{Binomial(n, p_m) = r}
-    log_marg = (
-        math.lgamma(n + 1) - lg_r - math.lgamma(n - r + 1)
-        + r * log_p + (n - r) * np.log1p(-p)
+    # the terms depend only on the cell probabilities: work on the distinct
+    # ones q, weighted m_i m_j off the diagonal and m_i (m_i - 1) on it
+    q, cells, m = np.unique(model.probs, return_inverse=True, return_counts=True)
+    # P{Binomial(n, q) = r}
+    pq = np.exp(
+        math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+        + r * np.log(q) + (n - r) * np.log1p(-q)
     )
-    marg = np.exp(log_marg)
+    marg = pq[cells]
     mean = float(math.fsum(marg.tolist()))
+    single = math.fsum((marg * (1.0 - marg)).tolist())
     if 2 * r > n:
-        cross = 0.0
+        ratio = np.full((q.size, q.size), -1.0)
     else:
-        # a pair probability depends only on the two cell probabilities: sum over
-        # distinct ones q, weighted m_i m_j off the diagonal and m_i (m_i - 1) on it
-        q, m = np.unique(p, return_counts=True)
-        log_q = np.log(q)
-        rest = 1.0 - q[:, None] - q[None, :]
-        log_pair_base = (
-            math.lgamma(n + 1) - 2.0 * lg_r - math.lgamma(n - 2 * r + 1)
-            + r * (log_q[:, None] + log_q[None, :])
+        # P_ij / (P_i P_j) = prod_k (1 - r/(n - k)) over k < r
+        #   * (1 - q_i q_j / ((1 - q_i)(1 - q_j)))^(n - 2r) / ((1 - q_i)(1 - q_j))^r
+        log_q1 = np.log1p(-q)
+        log_ratio = math.fsum(math.log1p(-r / (n - k)) for k in range(r)) - r * (
+            log_q1[:, None] + log_q1[None, :]
         )
-        # n = 2r leaves the other cells count zero, and rest^0 = 1 even at rest = 0
-        pair = np.where(
-            (rest > 0.0) | (n == 2 * r),
-            np.exp(log_pair_base + (n - 2 * r) * np.log(np.maximum(rest, 1e-320))),
-            0.0,
-        )
-        cross = float(((np.outer(m, m) - np.diag(m)) * pair).sum())
-    second = mean + cross
-    return mean, second - mean * mean
+        if n > 2 * r:
+            # q_i + q_j <= 1 keeps the fraction at most 1, where log1p gives -inf
+            frac = np.minimum(np.outer(q, q) / np.outer(1.0 - q, 1.0 - q), 1.0)
+            with np.errstate(divide="ignore"):
+                log_ratio = log_ratio + (n - 2 * r) * np.log1p(-frac)
+        ratio = np.expm1(log_ratio)
+    cross = float(((np.outer(m, m) - np.diag(m)) * np.outer(pq, pq) * ratio).sum())
+    return mean, single + cross
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ rules) reduces to expectations of functions of independent Poisson
 variables.  This module provides the pmf, exact central/raw moment
 polynomials in the rate, and two generic expectation evaluators: a sum
 over one fixed window of k around the rate, and a forward-difference form
-useful as an independent cross-check at small rates.
+useful as an independent cross-check at small rates.  window_table and
+compensated_row_sums give the same windows and sums for many rates at once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import EvaluationError
 
@@ -28,6 +31,9 @@ __all__ = [
     "raw_moment_coeffs",
     "expect_fn",
     "expect_fn_forward_diff",
+    "window_bounds",
+    "window_table",
+    "compensated_row_sums",
 ]
 
 
@@ -146,20 +152,25 @@ def raw_moment(k: int, lam: float) -> float:
     return acc * lam
 
 
-def _window_weights(lam: float) -> tuple[int, list[float]]:
-    """(lo, [P{X = k} for k = lo..hi]) over the window lam -+ (12 sqrt(lam) + 50).
+def window_bounds(lam):
+    """(lo, hi) as floats: the window lam -+ (12 sqrt(lam) + 50) of a rate or rates.
 
-    Past 12 standard deviations plus 50 the pmf is below e^-72 relative
-    to its mode, and it decays faster than geometrically there.  A window
-    that starts at 0 (lam up to about 233) steps its log pmf up from the
-    exact e^-lam.  A window above 0 takes its first weight from lgamma
-    and steps the weights by lam / k; the steps are never accumulated
-    from k = 0, so their rounding stays at the size of the window, not
-    of lam.
+    Past it the pmf is below e^-72 of its mode and falls faster than geometrically.
+    """
+    half = 12.0 * np.sqrt(lam) + 50.0
+    return np.maximum(0.0, np.ceil(lam - half)), np.floor(lam + half)
+
+
+def _window_weights(lam: float) -> tuple[int, list[float]]:
+    """(lo, [P{X = k} for k = lo..hi]) over the window of lam.
+
+    A window from 0 (lam up to about 233) steps its log pmf up from the
+    exact e^-lam.  A window above 0 takes its first weight from lgamma and
+    steps the weights by lam / k, so their rounding stays at the size of
+    the window, not of lam.
     """
     half = 12.0 * math.sqrt(lam) + 50.0
-    lo = max(0, math.ceil(lam - half))
-    hi = int(lam + half)
+    lo, hi = max(0, math.ceil(lam - half)), int(lam + half)
     weights = []
     if lo == 0:
         log_lam = math.log(lam)
@@ -173,6 +184,61 @@ def _window_weights(lam: float) -> tuple[int, list[float]]:
             weights.append(w)
             w *= lam / (k + 1)
     return lo, weights
+
+
+def window_table(rates: np.ndarray, bounds=None) -> tuple[np.ndarray, np.ndarray]:
+    """(k, weights): one row per ascending rate, its window's counts and weights.
+
+    The weights are built as _window_weights builds them, and a window
+    above 0 is divided by its total.  Rows are padded to the widest window
+    by repeating their last count with weight 0.  bounds, if given, is
+    window_bounds(rates).
+    """
+    rates = np.asarray(rates, dtype=float)
+    lo, hi = window_bounds(rates) if bounds is None else bounds
+    k = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
+    lam = rates[:, None]
+    beyond = k > hi[:, None]
+    weights = np.empty_like(k)
+    # lo grows with the rate, so the windows from 0 come first; k[:, 1:] is k + 1
+    split = int(np.count_nonzero(lo == 0))
+    if split:
+        steps = np.log(lam[:split]) - np.log(k[:split, 1:])
+        weights[:split] = np.exp(np.cumsum(np.concatenate([-lam[:split], steps], 1), 1))
+    if split < rates.size:
+        first = [[poisson_pmf(int(a), b)] for a, b in zip(lo[split:], rates[split:].tolist())]
+        w = np.cumprod(np.concatenate([first, lam[split:] / k[split:, 1:]], 1), 1)
+        w[beyond[split:]] = 0.0
+        weights[split:] = w / compensated_row_sums(w)[:, None]
+    weights[beyond] = 0.0
+    return np.minimum(k, hi[:, None]), weights
+
+
+def compensated_row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of finite terms, equal to math.fsum of each row
+    unless the exact sum lies within about eps^2 times the row's size of a
+    rounding boundary.
+
+    A row is split at a power of two sigma above (nonzero terms + 2) times
+    its largest |term| (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 2008):
+    the high parts (sigma + t) - sigma add up exactly in any order, and the
+    exact remainders are folded in halves of a power-of-two row.  So zeros
+    appended to a row do not change its sum.
+    """
+    x = np.asarray(terms, dtype=float)
+    _, top = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
+    _, spread = np.frexp(np.count_nonzero(x, axis=-1, keepdims=True) + 1.0)
+    sigma = np.ldexp(1.0, top + spread)
+    high = (sigma + x) - sigma
+    low = x - high
+    width = x.shape[-1]
+    size = 1 << (width - 1).bit_length()
+    if size != width:
+        low = np.concatenate([low, np.zeros(x.shape[:-1] + (size - width,))], axis=-1)
+    while size > 1:
+        size //= 2
+        low = low[..., :size] + low[..., size:]
+    return high.sum(axis=-1) + low[..., 0]
 
 
 def expect_fn(fn, lam: float) -> float | tuple[float, ...]:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import log_ndtr, ndtr
-
 from .errors import (
     DegenerateVarianceError,
     EvaluationError,
@@ -188,7 +186,7 @@ def tail_probability(
         zone_value, rule = float(zone), ""
 
     m = coeffs.exponent(x, side)
-    log_p1 = float(log_ndtr(-x))
+    log_p1 = _log_normal_tail(x)
     log_p = log_p1 + m
     clamped = False
     if x > _LOG_SWITCH:
@@ -199,7 +197,7 @@ def tail_probability(
         else:
             p = math.exp(log_p)
     else:
-        p1 = float(ndtr(-x))
+        p1 = _normal_tail(x)
         p = p1 * math.exp(m)
         if p > 1.0:
             p = 1.0
@@ -217,6 +215,21 @@ def tail_probability(
         rule=rule,
         clamped=clamped,
     )
+
+
+def _normal_tail(x: float) -> float:
+    """1 - Phi(x)."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def _log_normal_tail(x: float) -> float:
+    """log(1 - Phi(x)), x >= 0; past 37, where erfc nears the smallest
+    normal float, the Mills ratio series (next term 945 / x^10 < 3e-13)."""
+    if x <= 37.0:
+        return math.log(_normal_tail(x))
+    z = 1.0 / (x * x)
+    series = z * (-1.0 + z * (3.0 + z * (-15.0 + 105.0 * z)))
+    return -0.5 * x * x - math.log(x * math.sqrt(2.0 * math.pi)) + math.log1p(series)
 
 
 def log_tail_asymptote(x: float) -> float:

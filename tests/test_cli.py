@@ -5,6 +5,9 @@ import io
 import json
 import math
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,6 +528,21 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["auto", "series", "closed_form"])
+    @pytest.mark.parametrize(
+        "model",
+        [["uniform", "--n", "1000000", "--cells", "10"],
+         ["powerlaw", "--n", "100000", "--cells", "50", "--alpha", "0.5"]],
+        ids=["uniform", "powerlaw"],
+    )
+    def test_rounding_noise_is_no_variance(self, capsys, model, method):
+        # every cell holds at least 2 on its whole window: the variance is 0
+        code, out, err = run(
+            capsys, "moments", "--model", *model, "--kernel", "atleast:2", "--method", method
+        )
+        assert code == 2, out
+        assert "variance" in err
+
     def test_argparse_rejects_unknown_choice(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["moments", "--model", "zipf", "--n", "10", "--cells", "4",
@@ -535,3 +553,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, multitails.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitails.errors import (
     DegenerateVarianceError,
@@ -714,7 +716,7 @@ class TestAggregates:
 
 
 class TestWindowWalks:
-    """Each distinct rate's Poisson window is walked once per pass."""
+    """Summaries sum window tables; only auto walks one window with expect_fn."""
 
     MODEL = power_law_model(60, 30, 0.7)
     KERNELS = [
@@ -738,18 +740,172 @@ class TestWindowWalks:
     @pytest.mark.parametrize("method", ["auto", "series", "closed_form"])
     def test_calls_per_distinct_rate(self, calls, kernel, method):
         model = self.MODEL
-        distinct = model.rate_groups()[0].size
         try:
             summary = moment_summary(model, kernel, method=method)
         except UnsupportedCombinationError:
             assert method == "closed_form"
             return
-        # series: (h, h (x - rate)) then (g^2, g^3, g^4, g^2 (x - rate));
-        # closed forms give E h, so only the second pass is walked
-        assert len(calls) == (distinct if method == "closed_form" else 2 * distinct)
+        # auto's reference walk is the one scalar walk, at the smallest rate
+        assert calls == ([model.rate_groups()[0][0]] if method == "auto" else [])
         del calls[:]
         g_second_moment_aggregates(model, kernel, summary)
         assert calls == []
+
+
+def _scalar_kernel(kernel, frame, lam):
+    """The per-cell kernel at one rate as a per-count function, for scalar walks."""
+    form = kernels._form(kernel, frame)
+    d = kernel.d
+    if form == "centered":
+        return lambda x: (x - lam) ** 2 / lam
+    if form in ("power", "bare"):
+        scale = 1.0 if form == "bare" else lam**-d
+        if d == 0.0:
+            return lambda x: 2.0 * x * math.log(x if form == "bare" else x / lam) if x > 0 else 0.0
+        return lambda x: scale * x ** (1.0 + d)
+    if form == "unfilled":
+        return kernel.levels.survival
+    if form == "count_exact":
+        return lambda x: 1.0 if x == kernel.r else 0.0
+    return lambda x: 1.0 if x >= kernel.r else 0.0
+
+
+def _scalar_summary(model, kernel, frame):
+    """Summary fields and the scale of each, summed one rate at a time by expect_fn."""
+    n = model.n
+    rates, mults = model.rate_groups()
+    first = []
+    for lam in rates.tolist():
+        f = _scalar_kernel(kernel, frame, lam)
+        first.append(expect_fn(lambda x: (h := f(x), h * (x - lam), abs(h), abs(h * (x - lam))), lam))
+    centers, cov, abs_h, abs_cov = (np.array(col) for col in zip(*first))
+    tau = float(mults @ cov) / n
+    second = []
+    for lam, center in zip(rates.tolist(), centers.tolist()):
+        f = _scalar_kernel(kernel, frame, lam)
+
+        def terms(x):
+            shift = center + tau * (x - lam)
+            # g is rounded at the size of the terms it is computed from
+            size = abs(f(x)) + abs(center) + abs(tau * (x - lam)) + 1.0
+            if kernel.is_random:
+                w = f(x)
+                g2, g3, g4 = (w * (1 - shift) ** p + (1 - w) * (-shift) ** p for p in (2, 3, 4))
+            else:
+                g = f(x) - shift
+                g2, g3, g4 = g**2, g**3, g**4
+            return g2, g3, g4, g2 * (x - lam), size**2, size**3, size**4, size**2 * abs(x - lam)
+
+        second.append(expect_fn(terms, lam))
+    eg2, eg3, eg4, eg2x, u2, u3, u4, u2x = (np.array(col) for col in zip(*second))
+    fields = {
+        "mean": (mults @ centers, mults @ abs_h),
+        "tau": (tau, (mults @ abs_cov) / n),
+        "var": (mults @ eg2, mults @ u2),
+        "beta3": (mults @ eg3, mults @ u3),
+        "beta4": (mults @ eg4, mults @ u4),
+        "s_sq": (mults @ (eg2 * eg2), mults @ (u2 * u2)),
+        "s_cross": (mults @ eg2x, mults @ u2x),
+    }
+    return {name: (float(a), float(b)) for name, (a, b) in fields.items()}
+
+
+# (kernel, frame) pairs covering every per-cell kernel form the tables evaluate
+TABLE_FORMS = [
+    (Kernel.pds(1.0), "canonical"), (Kernel.pds(1.0), "bare"),
+    (Kernel.pds(0.0), "power"), (Kernel.pds(0.0), "bare"),
+    (Kernel.pds(-0.5), "power"), (Kernel.pds(-0.5), "bare"),
+    (Kernel.pds(2.0 / 3.0), "power"), (Kernel.pds(2.0), "bare"),
+    (Kernel.count_exact(0), "canonical"), (Kernel.count_exact(3), "canonical"),
+    (Kernel.count_at_least(2), "canonical"), (Kernel.unfilled(TWO_LEVEL), "canonical"),
+    (Kernel.unfilled(WITH_ZERO), "canonical"),
+]
+
+
+def _model_with_rates(rates):
+    """A model with two cells at about each of the rates."""
+    weights = np.repeat(rates, 2)
+    total = math.fsum(weights.tolist())
+    return explicit_model(max(1, round(total)), weights / total)
+
+
+class TestWindowTables:
+    """The table engine against scalar walks, and its independence of chunking."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        form=st.sampled_from(TABLE_FORMS),
+        # windows start at 0 up to a rate of about 233 and above 0 past it
+        rates=st.lists(
+            st.floats(0.05, 8.0) | st.floats(220.0, 250.0) | st.floats(900.0, 3000.0),
+            min_size=1, max_size=10, unique=True,
+        ),
+        chunk=st.sampled_from([1, 300, 2000, kernels._CHUNK_POINTS]),
+    )
+    def test_engine_matches_scalar_walks(self, form, rates, chunk):
+        kernel, frame = form
+        model = _model_with_rates(rates)
+        want = _scalar_summary(model, kernel, frame)
+        original = kernels._CHUNK_POINTS
+        kernels._CHUNK_POINTS = chunk
+        try:
+            got = kernels._series_summary(model, kernel, frame)[0]
+        except DegenerateVarianceError:
+            # an indicator that is 1 on every window point has no variance
+            assert want["var"][0] <= 1e-20 * want["mean"][1] ** 2
+            return
+        finally:
+            kernels._CHUNK_POINTS = original
+        values = {
+            "mean": got.mean, "tau": got.tau, "var": got.var, "beta3": got.beta3,
+            "beta4": got.beta4, "s_sq": got.aggregates[0], "s_cross": got.aggregates[1],
+        }
+        for name, (value, scale) in want.items():
+            assert abs(values[name] - value) <= 1e-13 * scale, name
+
+    MODELS = [
+        power_law_model(2000, 1000, 0.7),
+        _model_with_rates([0.3, 2.0, 231.0, 233.4, 234.0, 240.0, 1500.0]),
+        uniform_model(10**6, 10),
+    ]
+
+    @pytest.mark.parametrize("model", MODELS, ids=["powerlaw", "straddle", "dense"])
+    @pytest.mark.parametrize("form", TABLE_FORMS, ids=lambda f: f"{f[0].describe()}-{f[1]}")
+    def test_chunk_size_changes_nothing(self, monkeypatch, model, form):
+        kernel, frame = form
+
+        def summary():
+            try:
+                return moment_summary(model, kernel, method="series", frame=frame)
+            except DegenerateVarianceError as err:
+                return str(err)
+
+        whole = summary()
+        monkeypatch.setattr(kernels, "_CHUNK_POINTS", 1)
+        assert summary() == whole
+
+    def test_auto_walk_catches_a_bad_weight(self, monkeypatch):
+        model = uniform_model(1024, 512)
+        kernel = Kernel.pds(0.5)
+        table = kernels.window_table
+
+        def off(rates, bounds=None):
+            k, weights = table(rates, bounds)
+            weights[0, np.argmax(weights[0])] *= 1.0 + 1e-6
+            return k, weights
+
+        monkeypatch.setattr(kernels, "window_table", off)
+        moment_summary(model, kernel, method="series")
+        with pytest.raises(EvaluationError, match="reference walk"):
+            moment_summary(model, kernel, method="auto")
+
+    @pytest.mark.parametrize("model", [uniform_model(10**6, 10), power_law_model(10**5, 50, 0.5)])
+    @pytest.mark.parametrize("method", ["auto", "series", "closed_form"])
+    def test_rounding_noise_is_no_variance(self, model, method):
+        # 1{x >= 2} is 1 on every window point, so the series variance is
+        # pure rounding of the centring, about 1e-31
+        with pytest.raises(DegenerateVarianceError):
+            moment_summary(model, Kernel.count_at_least(2), method=method)
 
 
 class TestAutoCrossCheck:

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -213,6 +214,18 @@ class TestExactCountMoments:
         pairs = num_cells * (num_cells - 1) * (1.0 - 2.0 / num_cells) ** n
         assert mean == pytest.approx(want_mean, rel=1e-12)
         assert var == pytest.approx(want_mean + pairs - want_mean**2, rel=1e-8)
+
+    def test_variance_without_cancellation(self):
+        # 50-digit value of N P (1 - P) + N (N - 1) (P2 - P^2), P = (1 - 1/N)^n
+        # and P2 = (1 - 2/N)^n: the variance is about 1317 beside a squared
+        # mean of about 4.9e6
+        num_cells, n = 16384, 32768
+        with mpmath.workdps(50):
+            one = (1 - mpmath.mpf(1) / num_cells) ** n
+            pair = (1 - mpmath.mpf(2) / num_cells) ** n
+            want = num_cells * one * (1 - one) + num_cells * (num_cells - 1) * (pair - one * one)
+            _, var = exact_count_moments(uniform_model(n, num_cells), 0)
+            assert abs(var - want) <= 1e-14 * want
 
     def test_r_validation(self):
         with pytest.raises(EvaluationError):

@@ -3,20 +3,24 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multitails.errors import EvaluationError
 from multitails.poisson import (
+    _window_weights,
     central_moment,
     central_moment_coeffs,
+    compensated_row_sums,
     expect_fn,
     expect_fn_forward_diff,
     log_poisson_pmf,
     poisson_pmf,
     raw_moment,
     raw_moment_coeffs,
+    window_table,
 )
 
 
@@ -258,6 +262,56 @@ def test_tuple_entries_equal_scalar_expectations(lam, params, bad):
     else:
         assert all(type(s) is float for s in scalars)
         assert expect_fn(lambda k: tuple(f(k) for f in fns), lam) == tuple(scalars)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    width=st.integers(1, 40) | st.integers(41, 8000),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 6.0),
+    signed=st.booleans(),
+    pad=st.integers(0, 300),
+)
+def test_compensated_sums_equal_fsum(width, seed, spread, signed, pad):
+    rng = np.random.default_rng(seed)
+    row = np.exp(spread * rng.standard_normal(width))
+    if signed:
+        row *= rng.standard_normal(width)
+    total = compensated_row_sums(row)
+    assert total.hex() == math.fsum(row.tolist()).hex()
+    # trailing zeros, and other rows beside it, leave a row's sum as it is
+    block = np.zeros((3, width + pad))
+    block[1, :width] = row
+    block[0, : width // 2] = row[: width // 2]
+    block[2] = rng.standard_normal(width + pad)
+    assert compensated_row_sums(block)[1] == total
+
+
+class TestWindowTable:
+    RATES = np.array([1e-3, 0.5, 3.0, 100.0, 232.9, 233.2, 240.0, 1e3, 1e5])
+
+    def test_rows_are_the_scalar_windows(self):
+        k, weights = window_table(self.RATES)
+        for i, lam in enumerate(self.RATES.tolist()):
+            lo, ref = _window_weights(lam)
+            width = len(ref)
+            if lo > 0:
+                ref = [w / math.fsum(ref) for w in ref]
+            assert k[i, 0] == lo
+            assert list(k[i, :width]) == list(range(lo, lo + width))
+            # padding repeats the last count and weighs nothing
+            assert (k[i, width:] == lo + width - 1).all()
+            assert (weights[i, width:] == 0.0).all()
+            assert weights[i, :width] == pytest.approx(ref, rel=1e-13)
+            assert compensated_row_sums(weights[i]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rows_do_not_depend_on_their_neighbours(self):
+        k, weights = window_table(self.RATES)
+        for i, lam in enumerate(self.RATES):
+            k1, w1 = window_table(self.RATES[i : i + 1])
+            width = k1.shape[1]
+            assert (k[i, :width] == k1[0]).all()
+            assert (weights[i, :width] == w1[0]).all()
 
 
 class TestForwardDiff:

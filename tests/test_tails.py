@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from scipy.special import ndtr
 
@@ -20,6 +21,8 @@ from multitails.kernels import (
 )
 from multitails.model import explicit_model, uniform_model
 from multitails.tails import (
+    _log_normal_tail,
+    _normal_tail,
     CorrectionCoeffs,
     TailResult,
     ZoneInfo,
@@ -205,6 +208,23 @@ class TestTailProbability:
 
     def test_asymptote(self):
         assert log_tail_asymptote(3.0) == -4.5
+
+
+class TestNormalTail:
+    """The first-order tail against 50-digit mpmath values."""
+
+    @pytest.mark.parametrize("x", [i / 8 for i in range(65)])
+    def test_normal_tail(self, x):
+        with mpmath.workdps(50):
+            want = mpmath.ncdf(-x)
+            assert abs(_normal_tail(x) - want) <= 1.5e-14 * want
+
+    # erfc up to 37, the asymptotic series past it
+    @pytest.mark.parametrize("x", [0.0, 0.5, 10.0, 36.9, 37.0, 37.1, 40.0, 100.0, 1000.0])
+    def test_log_normal_tail(self, x):
+        with mpmath.workdps(50):
+            want = mpmath.log(mpmath.ncdf(-x))
+            assert abs(_log_normal_tail(x) - want) <= 1e-15 * abs(want)
 
 
 class TestZoneInfo:
