@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import platform
 import struct
 import subprocess
 import sys
@@ -566,3 +567,33 @@ def test_cli_import_loads_no_scipy():
         env={"PYTHONPATH": str(src), "PATH": ""},
     )
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="page-fault counts and mallopt are glibc on Linux",
+)
+def test_repeated_summaries_fault_no_memory_in():
+    # Freed window tables stay mapped, so once warm a summary touches no new page;
+    # with glibc's default trimming these ten calls faulted about 4,600 pages in.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, resource\n"
+        "from multitails.cli import main\n"
+        "argv = ['tail', '--model', 'powerlaw', '--n', '200', '--cells', '100',\n"
+        "        '--alpha', '0.12', '--kernel', 'pds:-0.5', '--x', '1.5', '--order', '2']\n"
+        "def faults():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for _ in range(3):\n"
+        "        main(argv)\n"
+        "    before = faults()\n"
+        "    for _ in range(10):\n"
+        "        main(argv)\n"
+        "print(faults() - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert int(proc.stdout) < 100
