@@ -26,8 +26,6 @@ from .kernels import (
     parse_kernel_spec,
     resolve_frame,
     statistic_value,
-    tau_sparse_approx,
-    unfilled_sparse_expansion,
 )
 from .model import (
     MultinomialModel,
@@ -38,7 +36,6 @@ from .model import (
     perturbed_uniform_model,
     power_law_model,
     probs_from_csv,
-    probs_to_csv,
     uniform_model,
 )
 from .oracle import (
@@ -58,18 +55,14 @@ from .poisson import (
     central_moment,
     central_moment_coeffs,
     expect_fn,
-    expect_fn_forward_diff,
     log_poisson_pmf,
     poisson_pmf,
-    raw_moment,
-    raw_moment_coeffs,
 )
 from .tails import (
     CorrectionCoeffs,
     TailResult,
     ZoneInfo,
     correction_coeffs,
-    log_tail_asymptote,
     tail_probability,
     zone_bound,
 )

@@ -27,7 +27,6 @@ __all__ = [
     "perturbed_uniform_model",
     "explicit_model",
     "classify_regime",
-    "probs_to_csv",
     "probs_from_csv",
 ]
 
@@ -211,11 +210,6 @@ def classify_regime(model: MultinomialModel) -> Regime:
 
 
 # -- probability files ------------------------------------------------------
-
-def probs_to_csv(probs) -> str:
-    """One probability per line at 17 significant digits (lossless for float64)."""
-    return "\n".join(f"{float(p):.17g}" for p in probs) + "\n"
-
 
 def probs_from_csv(text: str) -> np.ndarray:
     values = [float(line) for line in text.split() if line.strip()]

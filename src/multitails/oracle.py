@@ -44,6 +44,11 @@ _MERGE_RTOL = 1e-12
 # Enumeration refuses models with more compositions than this.
 _MAX_COMPOSITIONS = 2_000_000
 
+# Enumeration evaluates its compositions in blocks of at most this many
+# rows and this many counts.
+_BLOCK_ROWS = 2**16
+_BLOCK_COUNTS = 2**22
+
 
 def multinomial_log_pmf(counts, model: MultinomialModel) -> float:
     """Exact log probability of one count vector."""
@@ -142,12 +147,18 @@ def enumerate_distribution(
 ) -> ExactDistribution:
     """Exact distribution of a count-determined statistic by enumeration.
 
-    Walks every composition of n over the cells with an incrementally
-    maintained log probability, drops compositions whose probability
-    underflows doubles, and merges statistic atoms that agree to
-    a relative 1e-12.  The statistic is a Kernel or any callable taking the
-    counts vector; statistics with their own randomness given the
-    counts cannot be enumerated this way.
+    Walks every composition of n over the cells in lexicographic order, in
+    blocks: a loop over the counts of the first N - j cells, each prefix
+    completed by the table of every composition of the items left into the
+    last j cells.  j is the most cells, at least 1, for which all those
+    tables together hold at most 2**16 rows and 2**22 counts, so no block
+    is larger.  Each block gets one vectorized log probability, added cell
+    by cell in the order of a one-composition-at-a-time walk, and one
+    statistic call (a callable gets one call per row, a 1-D count vector).
+    Compositions whose probability underflows doubles are dropped, and
+    statistic atoms that agree to a relative 1e-12 are merged.  Atoms and
+    probabilities are bitwise those of the one-at-a-time walk.  Statistics
+    with their own randomness given the counts cannot be enumerated.
     """
     if isinstance(statistic, Kernel):
         if statistic.is_random:
@@ -156,10 +167,12 @@ def enumerate_distribution(
             )
         kernel = statistic
 
-        def evaluate(counts):
-            return statistic_value(kernel, model, counts, frame)
+        def evaluate(block):
+            return statistic_value(kernel, model, block, frame)
     else:
-        evaluate = statistic
+
+        def evaluate(block):
+            return np.array([float(statistic(row)) for row in block])
     n = model.n
     num_cells = model.num_cells
     total = math.comb(n + num_cells - 1, num_cells - 1)
@@ -170,36 +183,115 @@ def enumerate_distribution(
     log_p = np.log(model.probs)
     # lgamma(c+1) for c = 0..n, shared across cells
     lg = np.array([math.lgamma(c + 1) for c in range(n + 1)])
-    base = math.lgamma(n + 1)
-    counts = np.zeros(num_cells, dtype=np.int64)
+    tail_cells = _tail_cells(n, num_cells)
+    fixed = num_cells - tail_cells
+    # the last tail cell takes what is left, so the tables are read off the
+    # compositions of at most n items into the tail cells but one
+    head, used = _compositions(n, tail_cells - 1)
+    tails = {}
+    prefix = np.zeros(fixed, dtype=np.int64)
     values = []
-    probs = []
-
-    def walk(cell: int, remaining: int, partial: float):
-        if cell == num_cells - 1:
-            counts[cell] = remaining
-            lp = partial + remaining * log_p[cell] - lg[remaining]
-            if lp >= _PRUNE_LOG:
-                values.append(float(evaluate(counts)))
-                probs.append(math.exp(lp))
-            return
-        for c in range(remaining + 1):
-            counts[cell] = c
-            walk(cell + 1, remaining - c, partial + c * log_p[cell] - lg[c])
-
-    walk(0, n, base)
-    order = np.argsort(values, kind="stable")
-    merged_v = []
-    merged_p = []
-    for idx in order:
-        v = values[idx]
-        p = probs[idx]
-        if merged_v and abs(v - merged_v[-1]) <= _MERGE_RTOL * max(1.0, abs(merged_v[-1])):
-            merged_p[-1] += p
+    logs = []
+    # (cells fixed, count of the last of them, items left, log probability so far)
+    stack = [(0, 0, n, math.lgamma(n + 1))]
+    while stack:
+        depth, count, left, partial = stack.pop()
+        if depth:
+            prefix[depth - 1] = count
+        if depth < fixed and left:
+            stack.extend(
+                (depth + 1, c, left - c, partial + c * log_p[depth] - lg[c])
+                for c in range(left, -1, -1)
+            )
+            continue
+        # an empty cell adds -0.0 and takes 0.0 away, which leaves a log
+        # probability bitwise as it was, so no items left means no more terms
+        prefix[depth:] = 0
+        tail = tails.get(left)
+        if tail is None:
+            fits = used <= left
+            tail = tails[left] = np.column_stack((head[fits], left - used[fits]))
+        lp = np.full(len(tail), partial)
+        if left:
+            # partial + c log p - lgamma(c + 1), cell after cell, as the walk adds
+            for cell in range(fixed, num_cells):
+                col = tail[:, cell - fixed]
+                lp = lp + col * log_p[cell] - lg[col]
+        if fixed:
+            block = np.empty((len(tail), num_cells), dtype=np.int64)
+            block[:, :fixed] = prefix
+            block[:, fixed:] = tail
         else:
-            merged_v.append(v)
-            merged_p.append(p)
-    return ExactDistribution(tuple(merged_v), tuple(merged_p))
+            block = tail
+        keep = lp >= _PRUNE_LOG
+        if not keep.all():
+            block, lp = block[keep], lp[keep]
+        if len(block):
+            values.append(evaluate(block))
+            logs.append(lp)
+    lp = np.concatenate(logs)
+    # math.exp, not np.exp, which is an ulp off libm on some inputs
+    probs = np.fromiter(map(math.exp, lp.tolist()), dtype=float, count=lp.size)
+    return _merge_atoms(np.concatenate(values), probs)
+
+
+def _tail_cells(n: int, num_cells: int) -> int:
+    """Cells j enumerated per block: the most, at least 1, such that every
+    composition of at most n items into j cells fits the block bounds."""
+    limit = min(_BLOCK_ROWS, _BLOCK_COUNTS // num_cells)
+    j = 1
+    while j < num_cells and math.comb(n + j + 1, j + 1) <= limit:
+        j += 1
+    return j
+
+
+def _compositions(n: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every composition of at most n items into cells, one per row in
+    lexicographic order, and the row sums.
+
+    Grows one cell at a time: each row spawns one child per count the next
+    cell can take, and the columns are read back through the parents.
+    """
+    used = np.zeros(1, dtype=np.int64)
+    steps = []
+    for _ in range(cells):
+        spawn = n + 1 - used
+        parent = np.repeat(np.arange(used.size), spawn)
+        count = np.arange(parent.size) - np.repeat(np.cumsum(spawn) - spawn, spawn)
+        used = used[parent] + count
+        steps.append((parent, count))
+    table = np.empty((used.size, cells), dtype=np.int64)
+    row = np.arange(used.size)
+    for col in range(cells - 1, -1, -1):
+        parent, count = steps[col]
+        table[:, col] = count[row]
+        row = parent[row]
+    return table, used
+
+
+def _merge_atoms(values: np.ndarray, probs: np.ndarray) -> ExactDistribution:
+    """Sort the atoms stably and merge values close to a group's first value.
+
+    A group is anchored at its first value a and takes each later value v
+    with |v - a| <= _MERGE_RTOL max(1, |a|); its probability is the sum of
+    its members' in sorted order (bincount adds them one after another).
+    """
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    # starts[i]: sorted value i anchors a new atom.  Equal finite values
+    # always join one group, so the chained rule only looks at the first of
+    # each run of them.
+    starts = np.ones(v.size, dtype=bool)
+    starts[1:] = (v[1:] != v[:-1]) | ~np.isfinite(v[1:])
+    heads = np.flatnonzero(starts)
+    anchor = None
+    for i, x in zip(heads.tolist(), v[heads].tolist()):
+        if anchor is not None and abs(x - anchor) <= _MERGE_RTOL * max(1.0, abs(anchor)):
+            starts[i] = False
+        else:
+            anchor = x
+    sums = np.bincount(np.cumsum(starts) - 1, weights=probs[order])
+    return ExactDistribution(tuple(v[starts].tolist()), tuple(sums.tolist()))
 
 
 def exact_count_moments(model: MultinomialModel, r: int) -> tuple[float, float]:

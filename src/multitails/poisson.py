@@ -2,11 +2,10 @@
 
 Everything downstream (moment summaries, correction coefficients, zone
 rules) reduces to expectations of functions of independent Poisson
-variables.  This module provides the pmf, exact central/raw moment
-polynomials in the rate, and two generic expectation evaluators: a sum
-over one fixed window of k around the rate, and a forward-difference form
-useful as an independent cross-check at small rates.  window_table and
-compensated_row_sums give the same windows and sums for many rates at once.
+variables.  This module provides the pmf, exact central moment
+polynomials in the rate, and expect_fn, a sum over one fixed window of k
+around the rate.  window_table and compensated_row_sums give the same
+windows and sums for many rates at once.
 """
 
 from __future__ import annotations
@@ -27,10 +26,7 @@ __all__ = [
     "log_poisson_pmf",
     "central_moment",
     "central_moment_coeffs",
-    "raw_moment",
-    "raw_moment_coeffs",
     "expect_fn",
-    "expect_fn_forward_diff",
     "window_bounds",
     "window_table",
     "compensated_row_sums",
@@ -113,43 +109,6 @@ def central_moment(v: int, lam: float) -> float:
     for c in reversed(row):
         acc = acc * Fraction(lam) + c
     return float(fact * acc * Fraction(lam))
-
-
-@lru_cache(maxsize=None)
-def _stirling_rows(kmax: int) -> tuple[tuple[int, ...], ...]:
-    # rows[k][l-1] = number of ways to partition k labelled items into l
-    # nonempty blocks; triangle rule S(k,l) = l S(k-1,l) + S(k-1,l-1).
-    rows: list[tuple[int, ...]] = [(), (1,)]
-    for k in range(1, kmax):
-        prev = rows[k]
-        nxt = []
-        for l in range(1, k + 2):
-            a = l * prev[l - 1] if l - 1 < len(prev) else 0
-            b = prev[l - 2] if 1 <= l - 1 <= len(prev) else 0
-            nxt.append(a + b)
-        rows.append(tuple(nxt))
-    return tuple(rows[: kmax + 1])
-
-
-def raw_moment_coeffs(k: int) -> tuple[int, ...]:
-    """Integer coefficients (S(k,1), ..., S(k,k)) with E X^k = sum_l S(k,l) lam^l."""
-    if k < 1:
-        raise ValueError(f"raw moment coefficients start at order 1, got {k}")
-    return _stirling_rows(k)[k]
-
-
-def raw_moment(k: int, lam: float) -> float:
-    """E X^k for X Poisson with rate lam; exact polynomial evaluation."""
-    if k < 0:
-        raise ValueError(f"moment order must be nonnegative, got {k}")
-    if not (lam > 0.0):
-        raise ValueError(f"rate must be positive, got {lam}")
-    if k == 0:
-        return 1.0
-    acc = 0.0
-    for s in reversed(_stirling_rows(k)[k]):
-        acc = acc * lam + s
-    return acc * lam
 
 
 def window_bounds(lam):
@@ -270,33 +229,3 @@ def expect_fn(fn, lam: float) -> float | tuple[float, ...]:
     mass = 1.0 if lo == 0 else math.fsum(weights)
     sums = tuple(math.fsum(map(operator.mul, col, weights)) / mass for col in cols)
     return sums if tupled else sums[0]
-
-
-def expect_fn_forward_diff(fn, lam: float, max_order: int) -> float:
-    """E fn(X) via the forward-difference expansion around zero.
-
-    Uses E fn(X) = sum_{v=0}^{max_order} lam^v / v! * (Delta^v fn)(0).
-    Exact once max_order reaches the degree for polynomial fn; for
-    general fn it is an independent cross-check that converges quickly
-    when lam is small.  Repeated differencing cancels catastrophically
-    for large max_order, so this is a diagnostic tool, not the primary
-    evaluation path.
-    """
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise ValueError(f"rate must be a positive finite real, got {lam}")
-    if max_order < 0:
-        raise ValueError(f"max_order must be nonnegative, got {max_order}")
-    row = [float(fn(j)) for j in range(max_order + 1)]
-    for j, val in enumerate(row):
-        if not math.isfinite(val):
-            raise EvaluationError(
-                f"fn({j}) is not finite in forward-difference expectation",
-                index=j,
-            )
-    terms = [row[0]]
-    weight = 1.0
-    for v in range(1, max_order + 1):
-        row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
-        weight *= lam / v
-        terms.append(weight * row[0])
-    return math.fsum(terms)

@@ -30,7 +30,6 @@ __all__ = [
     "correction_coeffs",
     "tail_probability",
     "zone_bound",
-    "log_tail_asymptote",
 ]
 
 # Above this the first-order factor underflows gradually; work in logs.
@@ -230,11 +229,6 @@ def _log_normal_tail(x: float) -> float:
     z = 1.0 / (x * x)
     series = z * (-1.0 + z * (3.0 + z * (-15.0 + 105.0 * z)))
     return -0.5 * x * x - math.log(x * math.sqrt(2.0 * math.pi)) + math.log1p(series)
-
-
-def log_tail_asymptote(x: float) -> float:
-    """Crude exponential order of the standardized tail, -x^2/2."""
-    return -0.5 * x * x
 
 
 # -- validity zones ----------------------------------------------------------

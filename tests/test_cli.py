@@ -569,6 +569,20 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_overflowing_kernel_prints_only_the_error():
+    # pytest records warnings itself, so run the CLI in a fresh interpreter
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "multitails.cli", "moments", "--model", "uniform",
+         "--n", "1000000", "--cells", "10", "--kernel", "pds:80", "--frame", "bare"],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="page-fault counts and mallopt are glibc on Linux",

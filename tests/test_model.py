@@ -18,9 +18,10 @@ from multitails.model import (
     perturbed_uniform_model,
     power_law_model,
     probs_from_csv,
-    probs_to_csv,
     uniform_model,
 )
+
+from _closed_forms import probs_to_csv
 
 
 class TestBuilders:

@@ -2,13 +2,16 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multitails.errors import EvaluationError, UnsupportedCombinationError
-from multitails.kernels import Kernel, LevelDistribution, moment_summary, statistic_value
+from multitails.kernels import FRAMES, Kernel, LevelDistribution, moment_summary, statistic_value
 from multitails.model import explicit_model, uniform_model
 from multitails import oracle
 from multitails.oracle import (
@@ -161,10 +164,141 @@ class TestEnumeration:
         with pytest.raises(UnsupportedCombinationError):
             enumerate_distribution(uniform_model(3, 2), Kernel.unfilled(levels))
 
-    def test_composition_cap(self):
+    def test_composition_cap(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a composition table was built")
+
+        monkeypatch.setattr(oracle, "_compositions", no_tables)
         # C(49, 19), about 1.9e13 compositions, is far above the cap
         with pytest.raises(UnsupportedCombinationError, match="enumeration cap"):
             enumerate_distribution(uniform_model(30, 20), Kernel.pds(1.0))
+
+    # C(21, 7) = 116280 compositions, more than one block can hold; and
+    # 45150 of 300 cells, where the count bound keeps blocks to 13695 rows
+    @pytest.mark.parametrize("n, cells", [(14, 8), (2, 300)])
+    def test_blocks_stay_within_the_bounds(self, monkeypatch, n, cells):
+        model = uniform_model(n, cells)
+        total = math.comb(n + cells - 1, cells - 1)
+        rows = []
+
+        def recording(kernel, model, counts, frame="canonical"):
+            assert counts.ndim == 2 and counts.shape[1] == cells
+            assert (counts.sum(axis=1) == n).all()
+            rows.append(len(counts))
+            return statistic_value(kernel, model, counts, frame)
+
+        monkeypatch.setattr(oracle, "statistic_value", recording)
+        dist = enumerate_distribution(model, Kernel.count_exact(0))
+        assert 1 < len(rows) < total
+        assert max(rows) <= oracle._BLOCK_ROWS == 2**16
+        assert max(rows) * cells <= oracle._BLOCK_COUNTS == 2**22
+        # no composition of these uniform models underflows
+        assert sum(rows) == total
+        assert dist.total == pytest.approx(1.0, abs=1e-12)
+
+    def test_deep_walks_need_no_recursion(self, monkeypatch):
+        # one-row blocks: the loop fixes 2999 cells, far past the recursion limit
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1)
+        dist = enumerate_distribution(uniform_model(1, 3000), lambda c: float(np.argmax(c)))
+        assert dist.values == tuple(float(i) for i in range(3000))
+        assert dist.probs == pytest.approx([1.0 / 3000.0] * 3000, rel=1e-12)
+
+    def test_callable_gets_every_row_in_order(self):
+        model = explicit_model(4, [0.1, 0.2, 0.3, 0.4])
+        seen = []
+
+        def statistic(row):
+            assert row.ndim == 1 and row.dtype == np.int64
+            seen.append(tuple(row.tolist()))
+            return float(row[0])
+
+        enumerate_distribution(model, statistic)
+        assert seen == list(all_compositions(4, 4))
+
+    def test_pruned_compositions_are_dropped(self):
+        # two or three items in the first cell is below 1e-300: pruned
+        model = explicit_model(3, [1e-160, 0.5, 0.5 - 1e-160])
+        rows = []
+        enumerate_distribution(model, lambda c: rows.append(tuple(c.tolist())) or 0.0)
+        assert rows == [c for c in all_compositions(3, 3) if c[0] <= 1]
+
+
+def _recursive_walk(model, kernel, frame):
+    """The one-composition-at-a-time walk the block walk must equal bitwise."""
+    n = model.n
+    num_cells = model.num_cells
+    log_p = np.log(model.probs)
+    lg = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+    counts = np.zeros(num_cells, dtype=np.int64)
+    values = []
+    probs = []
+
+    def walk(cell, remaining, partial):
+        if cell == num_cells - 1:
+            counts[cell] = remaining
+            lp = partial + remaining * log_p[cell] - lg[remaining]
+            if lp >= oracle._PRUNE_LOG:
+                values.append(float(statistic_value(kernel, model, counts, frame)))
+                probs.append(math.exp(lp))
+            return
+        for c in range(remaining + 1):
+            counts[cell] = c
+            walk(cell + 1, remaining - c, partial + c * log_p[cell] - lg[c])
+
+    walk(0, n, math.lgamma(n + 1))
+    return _chained_merge(values, probs)
+
+
+def _chained_merge(values, probs):
+    merged_v = []
+    merged_p = []
+    for idx in np.argsort(values, kind="stable"):
+        v = values[idx]
+        p = probs[idx]
+        if merged_v and abs(v - merged_v[-1]) <= oracle._MERGE_RTOL * max(1.0, abs(merged_v[-1])):
+            merged_p[-1] += p
+        else:
+            merged_v.append(v)
+            merged_p.append(p)
+    return tuple(merged_v), tuple(merged_p)
+
+
+WALK_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+count_kernels = st.one_of(
+    st.sampled_from([1.0, 0.0, -0.5, 2.0 / 3.0, 0.5]).map(Kernel.pds),
+    st.floats(-0.9, 3.0).map(Kernel.pds),
+    st.integers(0, 3).map(Kernel.count_exact),
+    st.integers(1, 3).map(Kernel.count_at_least),
+    st.just(Kernel.collisions()),
+)
+
+# weights of 1e-40 make some compositions fall under the prune threshold
+tiny_models = st.one_of(
+    st.builds(uniform_model, st.integers(1, 10), st.integers(2, 6)),
+    st.builds(
+        lambda n, w: explicit_model(n, np.array(w) / math.fsum(w)),
+        st.integers(1, 10),
+        st.lists(st.sampled_from([1e-40, 0.05, 0.3, 1.0, 2.5]), min_size=2, max_size=6),
+    ),
+)
+
+
+@WALK_PROPERTY
+@given(tiny_models, count_kernels)
+# values a few ulps apart, which the chained merge rule joins
+@example(uniform_model(10, 6), Kernel.pds(0.5))
+@example(explicit_model(8, [0.1, 0.2, 0.3, 0.4]), Kernel.pds(2.0 / 3.0))
+@example(explicit_model(10, [1e-40, 0.25, 0.25, 0.5 - 1e-40]), Kernel.pds(0.0))
+@example(uniform_model(10, 6), Kernel.count_exact(1))
+def test_block_walk_equals_the_recursive_walk(model, kernel):
+    frames = FRAMES if kernel.family == "pds" else ("canonical",)
+    for frame in frames:
+        want = _recursive_walk(model, kernel, frame)
+        for rows in (1, 7, 2**16):
+            with mock.patch.object(oracle, "_BLOCK_ROWS", rows):
+                got = enumerate_distribution(model, kernel, frame)
+            assert (got.values, got.probs) == want
 
 
 class TestExactCountMoments:
@@ -438,3 +572,25 @@ class TestMcTailEstimate:
         payload = est.to_dict()
         assert payload["trials"] == 1000
         assert payload["hits"] == list(est.hits)
+
+
+# near-equal values, signed zeros and non-finite values, which the chained
+# rule treats one by one (an infinite anchor joins nothing equal to it)
+merge_values = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 1.0, 1.0 + 2**-52, 1.0 + 1e-12, 1.0 + 2e-12, -3.0, -3.0 - 4e-12,
+        1e20, 1e20 * (1 + 1e-13), math.inf, -math.inf, math.nan,
+    ]),
+    st.floats(-5.0, 5.0),
+)
+
+
+@WALK_PROPERTY
+@given(st.lists(st.tuples(merge_values, st.floats(0.0, 1.0)), min_size=1, max_size=40))
+def test_merge_equals_the_chained_rule(atoms):
+    values = [v for v, _ in atoms]
+    probs = [p for _, p in atoms]
+    want = _chained_merge(values, probs)
+    got = oracle._merge_atoms(np.array(values), np.array(probs))
+    assert [v.hex() for v in got.values] == [v.hex() for v in want[0]]
+    assert [p.hex() for p in got.probs] == [p.hex() for p in want[1]]

@@ -15,13 +15,12 @@ from multitails.poisson import (
     central_moment_coeffs,
     compensated_row_sums,
     expect_fn,
-    expect_fn_forward_diff,
     log_poisson_pmf,
     poisson_pmf,
-    raw_moment,
-    raw_moment_coeffs,
     window_table,
 )
+
+from _closed_forms import expect_fn_forward_diff, raw_moment, raw_moment_coeffs
 
 
 def series_central_moment(v, lam, terms=400):

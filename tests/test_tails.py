@@ -27,10 +27,11 @@ from multitails.tails import (
     TailResult,
     ZoneInfo,
     correction_coeffs,
-    log_tail_asymptote,
     tail_probability,
     zone_bound,
 )
+
+from _closed_forms import log_tail_asymptote
 
 PHI_TAIL_1 = 0.15865525393145707
 PHI_TAIL_2 = 0.022750131948179195
