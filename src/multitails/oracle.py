@@ -1,9 +1,11 @@
 """Independent checks: exact distributions, exact moments, Monte Carlo.
 
 Everything here is deliberately computed by routes that do not share
-code with the moment summaries or tail approximations: exact multinomial
-probabilities in log space, full enumeration of the count vectors for
-small models, binomial occupancy moments, and seeded simulation.
+code with the moment summaries' expectations or tail approximations:
+exact multinomial probabilities in log space, full enumeration of the
+count vectors for small models, binomial occupancy moments, and seeded
+simulation.  Only the per-cell kernel, which defines the statistic, is
+shared: kernels.statistic_value sums the summaries' kernel table.
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import EvaluationError, UnsupportedCombinationError
-from .kernels import Kernel, MomentSummary, statistic_value
+from .kernels import Kernel, MomentSummary, resolve_frame, statistic_value
 from .model import MultinomialModel
 
 __all__ = [
@@ -141,9 +142,7 @@ class ExactDistribution:
 
 
 def enumerate_distribution(
-    model: MultinomialModel,
-    statistic: Kernel | Callable[[np.ndarray], float],
-    frame: str = "canonical",
+    model: MultinomialModel, kernel: Kernel, frame: str = "canonical"
 ) -> ExactDistribution:
     """Exact distribution of a count-determined statistic by enumeration.
 
@@ -154,25 +153,16 @@ def enumerate_distribution(
     tables together hold at most 2**16 rows and 2**22 counts, so no block
     is larger.  Each block gets one vectorized log probability, added cell
     by cell in the order of a one-composition-at-a-time walk, and one
-    statistic call (a callable gets one call per row, a 1-D count vector).
-    Compositions whose probability underflows doubles are dropped, and
-    statistic atoms that agree to a relative 1e-12 are merged.  Atoms and
-    probabilities are bitwise those of the one-at-a-time walk.  Statistics
-    with their own randomness given the counts cannot be enumerated.
+    statistic_value call.  Compositions whose probability underflows
+    doubles are dropped, and statistic atoms that agree to a relative 1e-12
+    are merged.  Atoms and probabilities are bitwise those of the
+    one-at-a-time walk.  Statistics with their own randomness given the
+    counts cannot be enumerated, and a bad frame is refused before any
+    composition table is built.
     """
-    if isinstance(statistic, Kernel):
-        if statistic.is_random:
-            raise UnsupportedCombinationError(
-                "enumeration needs a count-determined statistic"
-            )
-        kernel = statistic
-
-        def evaluate(block):
-            return statistic_value(kernel, model, block, frame)
-    else:
-
-        def evaluate(block):
-            return np.array([float(statistic(row)) for row in block])
+    if kernel.is_random:
+        raise UnsupportedCombinationError("enumeration needs a count-determined statistic")
+    resolve_frame(model, kernel, frame)
     n = model.n
     num_cells = model.num_cells
     total = math.comb(n + num_cells - 1, num_cells - 1)
@@ -227,7 +217,7 @@ def enumerate_distribution(
         if not keep.all():
             block, lp = block[keep], lp[keep]
         if len(block):
-            values.append(evaluate(block))
+            values.append(statistic_value(kernel, model, block, frame))
             logs.append(lp)
     lp = np.concatenate(logs)
     # math.exp, not np.exp, which is an ulp off libm on some inputs
@@ -354,19 +344,6 @@ class McEstimate:
 
     def halfwidth(self, i: int) -> float:
         return 0.5 * (self.ci_high[i] - self.ci_low[i])
-
-    def to_dict(self) -> dict:
-        return {
-            "x": list(self.x),
-            "threshold": list(self.threshold),
-            "hits": list(self.hits),
-            "p_hat": list(self.p_hat),
-            "ci_low": list(self.ci_low),
-            "ci_high": list(self.ci_high),
-            "trials": self.trials,
-            "seed": self.seed,
-            "side": self.side,
-        }
 
 
 def _block_rows(model: MultinomialModel) -> int:

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from multitails.kernels import (
     FRAMES,
+    FrameMap,
     Kernel,
     LevelDistribution,
+    _form,
     moment_summary,
+    resolve_frame,
     statistic_value,
 )
 from multitails.model import explicit_model, uniform_model
@@ -28,6 +31,7 @@ kernels = st.one_of(
     st.just(Kernel.collisions()),
     st.just(Kernel.unfilled(LEVELS)),
 )
+count_kernels = kernels.filter(lambda k: not k.is_random)
 
 
 def _two_rate_model(n, cells, heavy, ratio):
@@ -63,6 +67,48 @@ def test_block_rows_equal_single_vectors(model, kernel, rows, seed):
             single = statistic_value(kernel, model, counts[i], frame, row_draws)
             assert isinstance(single, float)
             assert block[i] == single
+
+
+def _reference_value(kernel, model, counts, frame):
+    """A count-determined statistic by its per-family formula, one vector or a block."""
+    family = kernel.family
+    if family == "collisions":
+        total = np.maximum(counts - 1, 0).sum(axis=-1)
+        return float(total) if counts.ndim == 1 else total.astype(float)
+    if family != "pds":
+        cells = counts == kernel.r if family == "count_exact" else counts >= kernel.r
+        if counts.ndim == 1:
+            return float(np.count_nonzero(cells))
+        return cells.sum(axis=-1).astype(float)
+    _, source, fmap = resolve_frame(model, kernel, frame)
+    form, d, rates, c = _form(kernel, source), kernel.d, model.rates, counts.astype(float)
+    if form == "centered":
+        terms = (c - rates) ** 2 / rates
+    elif d == 0.0:
+        ones = np.maximum(c, 1.0)
+        terms = 2.0 * c * np.log(ones if form == "bare" else ones / rates)
+    elif form == "bare":
+        terms = np.power(c, 1.0 + d)
+    else:
+        terms = np.power(rates, -d) * np.power(c, 1.0 + d)
+    total = terms.sum(axis=-1)
+    value = float(total) if counts.ndim == 1 else total.astype(float)
+    return value if fmap == FrameMap() else fmap.value(value, model.n)
+
+
+@PROPERTY
+@given(models, count_kernels, st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_values_equal_the_family_formulas(model, kernel, rows, seed):
+    # the statistic sums the summaries' kernel table; each family's own
+    # formula must give bitwise the same values, on blocks and on rows
+    counts = np.random.default_rng(seed).multinomial(model.n, model.probs, size=rows)
+    frames = FRAMES if kernel.family == "pds" else ("canonical",)
+    for frame in frames:
+        want = _reference_value(kernel, model, counts, frame)
+        assert statistic_value(kernel, model, counts, frame).tobytes() == want.tobytes()
+        for i in range(rows):
+            single = statistic_value(kernel, model, counts[i], frame)
+            assert single.hex() == _reference_value(kernel, model, counts[i], frame).hex()
 
 
 @POOLED

@@ -262,6 +262,16 @@ class TestEnumerate:
         )
         assert code == 3
 
+    def test_frame_outside_pds_refused(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "--model", "uniform", "--n", "4", "--cells", "3",
+            "--kernel", "count:0", "--frame", "power",
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestSimulate:
     def test_pinned_run(self, capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,10 @@ class TestStatisticValue:
         with pytest.raises(ModelValidationError):
             statistic_value(Kernel.pds(0.5), self.MODEL, self.COUNTS, frame="scaled")
 
+    def test_frame_outside_pds_refused(self):
+        with pytest.raises(ModelValidationError, match="power-divergence"):
+            statistic_value(Kernel.count_exact(0), self.MODEL, self.COUNTS, "power")
+
 
 class TestCellFunctions:
     # rate 2 in every cell; each statistic sums its per-cell kernel
@@ -396,6 +401,19 @@ class TestCountSummaries:
         surv = 1.0 - poisson_pmf(0, lam) - poisson_pmf(1, lam)
         assert s.mean == pytest.approx(8 * surv, rel=1e-13)
         assert s.tau == pytest.approx(8 * lam * poisson_pmf(1, lam) / 24.0, rel=1e-13)
+
+    # 1 - P{x >= r} cancels at these rates: a variance formed from it is off
+    # by 1.3e-5, 2.2e-3 and 27% relative, and below zero at rate 50
+    @pytest.mark.parametrize("lam, r", [(30, 2), (35, 2), (40, 2), (50, 3)])
+    def test_at_least_closed_variance_without_cancellation(self, lam, r):
+        s = moment_summary(uniform_model(10 * lam, 10), Kernel.count_at_least(r), "closed_form")
+        with mpmath.workdps(50):
+            # P{x < r} for x Poisson at rate lam
+            rest = mpmath.fsum(
+                mpmath.exp(-lam) * mpmath.mpf(lam) ** k / mpmath.factorial(k) for k in range(r)
+            )
+            want = float(10 * rest * (1 - rest))
+        assert s.raw_var == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_at_least_one_is_occupied_complement(self):
         model = uniform_model(24, 8)

@@ -141,16 +141,6 @@ class TestEnumeration:
             dist = enumerate_distribution(model, Kernel.pds(1.0))
             assert dist.mean() == pytest.approx(model.num_cells - 1.0, abs=1e-12)
 
-    def test_callable_matches_kernel(self):
-        model = uniform_model(4, 3)
-        kernel = Kernel.pds(0.5)
-        via_kernel = enumerate_distribution(model, kernel)
-        via_callable = enumerate_distribution(
-            model, lambda c: statistic_value(kernel, model, c)
-        )
-        assert via_kernel.values == via_callable.values
-        assert via_kernel.probs == via_callable.probs
-
     def test_power_frame_shifts_by_n(self):
         model = uniform_model(4, 3)
         canonical = enumerate_distribution(model, Kernel.pds(1.0))
@@ -199,28 +189,39 @@ class TestEnumeration:
     def test_deep_walks_need_no_recursion(self, monkeypatch):
         # one-row blocks: the loop fixes 2999 cells, far past the recursion limit
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1)
-        dist = enumerate_distribution(uniform_model(1, 3000), lambda c: float(np.argmax(c)))
-        assert dist.values == tuple(float(i) for i in range(3000))
-        assert dist.probs == pytest.approx([1.0 / 3000.0] * 3000, rel=1e-12)
+        rows = record_block_rows(monkeypatch)
+        dist = enumerate_distribution(uniform_model(1, 3000), Kernel.count_exact(1))
+        # the lone item walks from the last cell to the first
+        assert rows == [tuple(int(i == j) for i in range(3000)) for j in range(2999, -1, -1)]
+        assert dist.values == (1.0,)
+        assert dist.probs == (pytest.approx(1.0, rel=1e-12),)
 
-    def test_callable_gets_every_row_in_order(self):
-        model = explicit_model(4, [0.1, 0.2, 0.3, 0.4])
-        seen = []
+    @pytest.mark.parametrize("block_rows", [1, 7, 2**16])
+    def test_blocks_hold_every_row_in_order(self, monkeypatch, block_rows):
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
+        rows = record_block_rows(monkeypatch)
+        enumerate_distribution(explicit_model(4, [0.1, 0.2, 0.3, 0.4]), Kernel.pds(1.0))
+        assert rows == list(all_compositions(4, 4))
 
-        def statistic(row):
-            assert row.ndim == 1 and row.dtype == np.int64
-            seen.append(tuple(row.tolist()))
-            return float(row[0])
-
-        enumerate_distribution(model, statistic)
-        assert seen == list(all_compositions(4, 4))
-
-    def test_pruned_compositions_are_dropped(self):
+    def test_pruned_compositions_are_dropped(self, monkeypatch):
         # two or three items in the first cell is below 1e-300: pruned
         model = explicit_model(3, [1e-160, 0.5, 0.5 - 1e-160])
-        rows = []
-        enumerate_distribution(model, lambda c: rows.append(tuple(c.tolist())) or 0.0)
+        rows = record_block_rows(monkeypatch)
+        enumerate_distribution(model, Kernel.count_exact(0))
         assert rows == [c for c in all_compositions(3, 3) if c[0] <= 1]
+
+
+def record_block_rows(monkeypatch):
+    """Patch oracle.statistic_value to record the rows of every block it gets."""
+    rows = []
+
+    def recording(kernel, model, counts, frame="canonical"):
+        assert counts.ndim == 2 and counts.dtype == np.int64
+        rows.extend(map(tuple, counts.tolist()))
+        return statistic_value(kernel, model, counts, frame)
+
+    monkeypatch.setattr(oracle, "statistic_value", recording)
+    return rows
 
 
 def _recursive_walk(model, kernel, frame):
@@ -566,12 +567,6 @@ class TestMcTailEstimate:
         assert sizes == ([] if size is None else [size])
         monkeypatch.undo()
         assert est == mc_tail_estimate(model, self.KERNEL, summary, [0.5, 1.5], 20_000, seed=3)
-
-    def test_dict_round_trip(self):
-        est = mc_tail_estimate(self.MODEL, self.KERNEL, self.SUMMARY, [1.0], 1000, seed=0)
-        payload = est.to_dict()
-        assert payload["trials"] == 1000
-        assert payload["hits"] == list(est.hits)
 
 
 # near-equal values, signed zeros and non-finite values, which the chained
