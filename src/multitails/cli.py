@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from .model import (
     probs_from_csv,
     uniform_model,
 )
-from .oracle import enumerate_distribution, mc_tail_estimate
+from .oracle import enumerate_distribution, enumerate_distributions, mc_tail_estimate
 from .tails import check_zone_fraction, correction_coeffs, tail_probability, zone_bound
 
 __all__ = ["main"]
@@ -108,12 +109,100 @@ def _kernel_from_args(args) -> Kernel:
 
 def _emit(payload: dict, rows: list[dict], fmt: str) -> None:
     if fmt == "json":
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_text(payload, 0) + "\n")
         return
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)
+
+
+def _json_scalar(o) -> str | None:
+    """A JSON scalar as json.dumps writes it, or None for a container."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (math.inf, -math.inf):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    if isinstance(o, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_records(rows: list, level: int) -> str | None:
+    """A list of dicts with the same str keys in the same order, holding
+    only scalars, as json.dumps(rows, indent=2) writes it at nesting level;
+    None for any other list.
+
+    Each row fills one template, and each column is formatted at once: an
+    all-float column by one call of the C encoder, whose float reprs hold
+    no ", " to split on.
+    """
+    keys = list(rows[0]) if type(rows[0]) is dict else None
+    if (
+        not keys
+        or not all(isinstance(k, str) for k in keys)
+        or set(map(type, rows)) != {dict}
+        or not all(map(keys.__eq__, map(list, rows)))
+    ):
+        return None
+    cols = [[r[k] for r in rows] for k in keys]
+    kinds = [set(map(type, col)) for col in cols]
+    if any(issubclass(t, (list, tuple, dict)) for ts in kinds for t in ts):
+        return None
+    texts = [
+        json.dumps(col)[1:-1].split(", ")
+        if all(issubclass(t, float) for t in ts)
+        else [_json_scalar(v) for v in col]
+        for col, ts in zip(cols, kinds)
+    ]
+    inner = "\n" + "  " * (level + 1)
+    deep = inner + "  "
+    template = (
+        "{" + deep
+        + ("," + deep).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+        + inner + "}"
+    )
+    rows_text = ("," + inner).join(template % r for r in zip(*texts))
+    return "[" + inner + rows_text + "\n" + "  " * level + "]"
+
+
+def _json_text(o, level: int) -> str:
+    """json.dumps(o, indent=2), written at nesting level, byte for byte."""
+    scalar = _json_scalar(o)
+    if scalar is not None:
+        return scalar
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = "\n" + "  " * (level + 1)
+    outer = "\n" + "  " * level
+    if isinstance(o, dict):
+        items = []
+        for key, value in o.items():
+            if not isinstance(key, str):
+                if isinstance(key, (float, int)) or key is None:
+                    key = _json_scalar(key)
+                else:
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}"
+                    )
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(value, level + 1))
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    records = _json_records(o, level)
+    if records is not None:
+        return records
+    return "[" + inner + ("," + inner).join(_json_text(v, level + 1) for v in o) + outer + "]"
 
 
 def _zone_payload(model, kernel, summary):
@@ -420,14 +509,15 @@ def _cmd_rngtest(args) -> int:
     enumerable = (
         math.comb(args.draws + args.cells - 1, args.cells - 1) <= _RNGTEST_EXACT_CAP
     )
+    kernels = [parse_kernel_spec(spec) for _, spec in _RNGTEST_KERNELS]
+    # one walk of the compositions gives every statistic's exact law
+    dists = enumerate_distributions(model, kernels) if enumerable else [None] * len(kernels)
     stats = []
-    for name, spec in _RNGTEST_KERNELS:
-        kernel = parse_kernel_spec(spec)
+    for (name, _), kernel, dist in zip(_RNGTEST_KERNELS, kernels, dists):
         summary = moment_summary(model, kernel, method="series")
         observed = statistic_value(kernel, model, counts)
         x_obs = (observed - summary.mean) / summary.sigma
         if enumerable:
-            dist = enumerate_distribution(model, kernel)
             p_value = dist.tail_prob(observed, "upper")
             in_zone, zone, rule = True, math.inf, "exact"
         else:

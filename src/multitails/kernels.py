@@ -780,7 +780,9 @@ def _closed_moments(model, kernel, frame):
     if form == "count_exact":
         occ = np.array([poisson_pmf(r, lam) for lam in rates])
         cov = (r - rates) * occ
-        rest = 1.0 - occ
+        # 1 - e^-rate cancels at small rates; expm1 does not.  For r > 0,
+        # occ = P{x = r} is at most 1/e, so 1 - occ does not cancel.
+        rest = -np.expm1(-rates) if r == 0 else 1.0 - occ
     elif form == "count_at_least":
         # P{x < r} as summed: 1 - P{x >= r} cancels when the rates are large
         rest = np.array([math.fsum(poisson_pmf(k, lam) for k in range(r)) for lam in rates])

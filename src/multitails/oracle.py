@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ __all__ = [
     "conditioned_poisson_pmf",
     "nu_n_constant",
     "enumerate_distribution",
+    "enumerate_distributions",
     "exact_count_moments",
     "mc_tail_estimate",
 ]
@@ -107,7 +109,13 @@ def nu_n_constant(n: int) -> float:
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Finite distribution of a statistic: sorted atoms with probabilities."""
+    """Finite distribution of a statistic: atoms sorted by value, NaN last.
+
+    Every query is bitwise the math.fsum of its terms taken atom by atom:
+    tails sum a slice of the probabilities, and the moments form their
+    terms with numpy, whose products and float_power (the C library's pow,
+    as Python's ** calls) round as Python's operators do.
+    """
 
     values: tuple[float, ...]
     probs: tuple[float, ...]
@@ -117,52 +125,71 @@ class ExactDistribution:
         return math.fsum(self.probs)
 
     def mean(self) -> float:
-        return math.fsum(v * p for v, p in zip(self.values, self.probs))
+        with np.errstate(invalid="ignore"):
+            terms = np.array(self.values) * np.array(self.probs)
+        return math.fsum(terms.tolist())
 
     def moment(self, k: int, center: float = 0.0) -> float:
-        return math.fsum((v - center) ** k * p for v, p in zip(self.values, self.probs))
+        # inf - inf and inf * 0 give NaN as quietly as Python's operators
+        with np.errstate(invalid="ignore"):
+            terms = np.float_power(np.array(self.values) - center, k) * np.array(self.probs)
+        return math.fsum(terms.tolist())
 
     def var(self) -> float:
         return self.moment(2, self.mean())
 
     def tail_prob(self, threshold: float, side: str = "upper", strict: bool = True) -> float:
-        if side == "upper":
-            if strict:
-                keep = (v > threshold for v in self.values)
-            else:
-                keep = (v >= threshold for v in self.values)
-        elif side == "lower":
-            if strict:
-                keep = (v < threshold for v in self.values)
-            else:
-                keep = (v <= threshold for v in self.values)
-        else:
+        if side not in ("upper", "lower"):
             raise EvaluationError(f"side must be 'upper' or 'lower', got {side!r}")
-        return math.fsum(p for p, k in zip(self.probs, keep) if k)
+        values = self.values
+        # no comparison with NaN holds, and NaN atoms sort last
+        if threshold != threshold:
+            return 0.0
+        stop = len(values)
+        while stop and values[stop - 1] != values[stop - 1]:
+            stop -= 1
+        if side == "upper":
+            cut = (bisect_right if strict else bisect_left)(values, threshold, 0, stop)
+            return math.fsum(self.probs[cut:stop])
+        cut = (bisect_left if strict else bisect_right)(values, threshold, 0, stop)
+        return math.fsum(self.probs[:cut])
 
 
 def enumerate_distribution(
     model: MultinomialModel, kernel: Kernel, frame: str = "canonical"
 ) -> ExactDistribution:
-    """Exact distribution of a count-determined statistic by enumeration.
+    """Exact distribution of one count-determined statistic by enumeration:
+    enumerate_distributions with one kernel."""
+    return enumerate_distributions(model, (kernel,), frame)[0]
+
+
+def enumerate_distributions(
+    model: MultinomialModel, kernels, frame: str = "canonical"
+) -> tuple[ExactDistribution, ...]:
+    """Exact distributions of count-determined statistics by one enumeration.
 
     Walks every composition of n over the cells in lexicographic order, in
     blocks: a loop over the counts of the first N - j cells, each prefix
     completed by the table of every composition of the items left into the
     last j cells.  j is the most cells, at least 1, for which all those
     tables together hold at most 2**16 rows and 2**22 counts, so no block
-    is larger.  Each block gets one vectorized log probability, added cell
-    by cell in the order of a one-composition-at-a-time walk, and one
-    statistic_value call.  Compositions whose probability underflows
-    doubles are dropped, and statistic atoms that agree to a relative 1e-12
-    are merged.  Atoms and probabilities are bitwise those of the
-    one-at-a-time walk.  Statistics with their own randomness given the
+    is larger.  A prefix with no items left is a single row; such rows
+    share blocks of that size, each flushed before the next other block so
+    that rows keep their walk order.  Each block gets one vectorized log
+    probability, added cell by cell in the order of a one-composition-at-a-
+    time walk, and one statistic_value call per kernel; the probabilities
+    are exponentiated once for all kernels.  Compositions whose probability
+    underflows doubles are dropped, and statistic atoms that agree to a
+    relative 1e-12 are merged.  Atoms and probabilities are bitwise those of
+    the one-at-a-time walk.  Statistics with their own randomness given the
     counts cannot be enumerated, and a bad frame is refused before any
     composition table is built.
     """
-    if kernel.is_random:
-        raise UnsupportedCombinationError("enumeration needs a count-determined statistic")
-    resolve_frame(model, kernel, frame)
+    kernels = tuple(kernels)
+    for kernel in kernels:
+        if kernel.is_random:
+            raise UnsupportedCombinationError("enumeration needs a count-determined statistic")
+        resolve_frame(model, kernel, frame)
     n = model.n
     num_cells = model.num_cells
     total = math.comb(n + num_cells - 1, num_cells - 1)
@@ -173,6 +200,7 @@ def enumerate_distribution(
     log_p = np.log(model.probs)
     # lgamma(c+1) for c = 0..n, shared across cells
     lg = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+    limit = _block_limit(num_cells)
     tail_cells = _tail_cells(n, num_cells)
     fixed = num_cells - tail_cells
     # the last tail cell takes what is left, so the tables are read off the
@@ -180,8 +208,23 @@ def enumerate_distribution(
     head, used = _compositions(n, tail_cells - 1)
     tails = {}
     prefix = np.zeros(fixed, dtype=np.int64)
-    values = []
+    values = [[] for _ in kernels]
     logs = []
+    # kept rows with no items left, written into one block made when the
+    # first comes and reused, and their log probabilities; the tail
+    # columns stay zero
+    empty = None
+    empty_logs = []
+
+    def evaluate(block, lp):
+        for out, kernel in zip(values, kernels):
+            out.append(statistic_value(kernel, model, block, frame))
+        logs.append(lp)
+
+    def flush():
+        evaluate(empty[: len(empty_logs)], np.array(empty_logs))
+        empty_logs.clear()
+
     # (cells fixed, count of the last of them, items left, log probability so far)
     stack = [(0, 0, n, math.lgamma(n + 1))]
     while stack:
@@ -197,16 +240,27 @@ def enumerate_distribution(
         # an empty cell adds -0.0 and takes 0.0 away, which leaves a log
         # probability bitwise as it was, so no items left means no more terms
         prefix[depth:] = 0
+        if not left:
+            # the row is the prefix padded with zeros
+            if partial >= _PRUNE_LOG:
+                if empty is None:
+                    empty = np.zeros((limit, num_cells), dtype=np.int64)
+                empty[len(empty_logs), :fixed] = prefix
+                empty_logs.append(partial)
+                if len(empty_logs) == limit:
+                    flush()
+            continue
+        if empty_logs:
+            flush()
         tail = tails.get(left)
         if tail is None:
             fits = used <= left
             tail = tails[left] = np.column_stack((head[fits], left - used[fits]))
         lp = np.full(len(tail), partial)
-        if left:
-            # partial + c log p - lgamma(c + 1), cell after cell, as the walk adds
-            for cell in range(fixed, num_cells):
-                col = tail[:, cell - fixed]
-                lp = lp + col * log_p[cell] - lg[col]
+        # partial + c log p - lgamma(c + 1), cell after cell, as the walk adds
+        for cell in range(fixed, num_cells):
+            col = tail[:, cell - fixed]
+            lp = lp + col * log_p[cell] - lg[col]
         if fixed:
             block = np.empty((len(tail), num_cells), dtype=np.int64)
             block[:, :fixed] = prefix
@@ -217,18 +271,24 @@ def enumerate_distribution(
         if not keep.all():
             block, lp = block[keep], lp[keep]
         if len(block):
-            values.append(statistic_value(kernel, model, block, frame))
-            logs.append(lp)
+            evaluate(block, lp)
+    if empty_logs:
+        flush()
     lp = np.concatenate(logs)
     # math.exp, not np.exp, which is an ulp off libm on some inputs
     probs = np.fromiter(map(math.exp, lp.tolist()), dtype=float, count=lp.size)
-    return _merge_atoms(np.concatenate(values), probs)
+    return tuple(_merge_atoms(np.concatenate(v), probs) for v in values)
+
+
+def _block_limit(num_cells: int) -> int:
+    """Rows per block: at most 2**16, and at most 2**22 counts."""
+    return min(_BLOCK_ROWS, _BLOCK_COUNTS // num_cells)
 
 
 def _tail_cells(n: int, num_cells: int) -> int:
     """Cells j enumerated per block: the most, at least 1, such that every
     composition of at most n items into j cells fits the block bounds."""
-    limit = min(_BLOCK_ROWS, _BLOCK_COUNTS // num_cells)
+    limit = _block_limit(num_cells)
     j = 1
     while j < num_cells and math.comb(n + j + 1, j + 1) <= limit:
         j += 1
@@ -274,10 +334,24 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray) -> ExactDistribution:
     starts = np.ones(v.size, dtype=bool)
     starts[1:] = (v[1:] != v[:-1]) | ~np.isfinite(v[1:])
     heads = np.flatnonzero(starts)
-    anchor = None
-    for i, x in zip(heads.tolist(), v[heads].tolist()):
-        if anchor is not None and abs(x - anchor) <= _MERGE_RTOL * max(1.0, abs(anchor)):
-            starts[i] = False
+    # A head more than twice the tolerance above the head before it is
+    # farther still from any finite anchor at or below that one, so it
+    # anchors an atom; the chained rule runs only over the other heads,
+    # each run of them starting from the head just before it.
+    hv = v[heads]
+    with np.errstate(invalid="ignore"):
+        near = np.abs(hv[1:] - hv[:-1]) <= 2 * _MERGE_RTOL * np.maximum(1.0, np.abs(hv[:-1]))
+    if hv.size and hv[0] == -math.inf:
+        # an anchor at -inf takes in every later value but NaN
+        near[:] = True
+    near = np.flatnonzero(near) + 1
+    last = -2
+    for i, x, before in zip(near.tolist(), hv[near].tolist(), hv[near - 1].tolist()):
+        if i != last + 1:
+            anchor = before
+        last = i
+        if abs(x - anchor) <= _MERGE_RTOL * max(1.0, abs(anchor)):
+            starts[heads[i]] = False
         else:
             anchor = x
     sums = np.bincount(np.cumsum(starts) - 1, weights=probs[order])

@@ -1,9 +1,10 @@
 """Closed forms and writers that only the tests use.
 
 Raw Poisson moments, a forward-difference expectation, small-rate
-expansions of the unfilled statistic and the crude Gaussian tail
-asymptote are independent cross-checks on the package; the CSV writers
-round-trip through its readers.
+expansions of the unfilled statistic, the crude Gaussian tail asymptote
+and atom-by-atom queries of an exact distribution are independent
+cross-checks on the package; the CSV writers round-trip through its
+readers.
 """
 
 import math
@@ -115,6 +116,30 @@ def unfilled_sparse_expansion(levels, lam: float, num_cells: int) -> tuple[float
         num_cells * tau_sparse_approx(levels, lam),
         num_cells * beta0 * (1.0 - beta0),
     )
+
+
+# -- exact distributions atom by atom -----------------------------------------
+
+
+def tail_prob_by_atoms(dist, threshold: float, side: str, strict: bool) -> float:
+    """P{value > threshold} (or >=, <, <=): fsum over the atoms that qualify."""
+    if side == "upper":
+        keep = [v > threshold if strict else v >= threshold for v in dist.values]
+    else:
+        keep = [v < threshold if strict else v <= threshold for v in dist.values]
+    return math.fsum(p for p, k in zip(dist.probs, keep) if k)
+
+
+def mean_by_atoms(dist) -> float:
+    return math.fsum(v * p for v, p in zip(dist.values, dist.probs))
+
+
+def moment_by_atoms(dist, k: int, center: float = 0.0) -> float:
+    return math.fsum((v - center) ** k * p for v, p in zip(dist.values, dist.probs))
+
+
+def var_by_atoms(dist) -> float:
+    return moment_by_atoms(dist, 2, mean_by_atoms(dist))
 
 
 # -- tails and files -----------------------------------------------------------

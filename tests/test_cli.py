@@ -17,6 +17,8 @@ from multitails.cli import _RNGTEST_KERNELS, _read_binned_counts, main
 from multitails.errors import InputExhaustedError
 from multitails.kernels import g_second_moment_aggregates, moment_summary, parse_kernel_spec
 from multitails.model import uniform_model
+from multitails import oracle
+from multitails.oracle import enumerate_distribution
 from multitails.tails import correction_coeffs, tail_probability, zone_bound
 
 
@@ -382,6 +384,31 @@ class TestRngtest:
         assert chi["observed"] == 0.0
         assert chi["p_value"] == 0.5  # P{statistic > 0} under the exact null
         assert chi["rule"] == "exact"
+
+    def test_exact_law_walks_once(self, capsys, tmp_path, monkeypatch):
+        words = np.random.default_rng(3).integers(0, 1 << 63, size=12, dtype=np.int64)
+        stream = tmp_path / "words.bin"
+        stream.write_bytes(words.astype(">u8").tobytes())
+        tables = []
+        compositions = oracle._compositions
+
+        def counting(*args):
+            tables.append(args)
+            return compositions(*args)
+
+        monkeypatch.setattr(oracle, "_compositions", counting)
+        payload = run_json(
+            capsys, "rngtest", "--input", str(stream), "--cells", "5", "--draws", "12",
+        )
+        assert len(tables) == 1
+        monkeypatch.undo()
+        # each p-value is bitwise that of the statistic's own enumeration
+        model = uniform_model(12, 5)
+        specs = dict(_RNGTEST_KERNELS)
+        for s in payload["statistics"]:
+            assert s["rule"] == "exact"
+            dist = enumerate_distribution(model, parse_kernel_spec(specs[s["statistic"]]))
+            assert s["p_value"].hex() == dist.tail_prob(s["observed"], "upper").hex()
 
     def test_healthy_counter_stream(self, capsys, tmp_path):
         # counter-mode generator: every p-value should sit well inside (0, 1)

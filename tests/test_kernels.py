@@ -2,6 +2,7 @@
 
 import json
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -414,6 +415,20 @@ class TestCountSummaries:
             )
             want = float(10 * rest * (1 - rest))
         assert s.raw_var == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    # 1 - e^-rate cancels at these rates: a variance formed from it is off
+    # by 1.6e-11 and 1.1e-9 relative.  The closed form reads only n and the
+    # rate groups, so a stand-in for uniform(n, cells) spares the GBs of the
+    # probability vector.
+    @pytest.mark.parametrize("n, cells", [(10, 10**7), (1, 10**8)])
+    def test_empty_cells_closed_variance_without_cancellation(self, n, cells):
+        rates, mults = np.array([n / cells]), np.array([float(cells)])
+        model = types.SimpleNamespace(n=n, rate_groups=lambda: (rates, mults))
+        _, _, raw_var, _ = kernels._closed_moments(model, Kernel.count_exact(0), "canonical")
+        with mpmath.workdps(50):
+            occ = mpmath.exp(-mpmath.mpf(n) / cells)
+            want = float(cells * occ * (1 - occ))
+        assert raw_var == pytest.approx(want, rel=4 * 2**-52, abs=0.0)
 
     def test_at_least_one_is_occupied_complement(self):
         model = uniform_model(24, 8)

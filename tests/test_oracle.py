@@ -21,12 +21,15 @@ from multitails.oracle import (
     conditioned_poisson_log_pmf,
     conditioned_poisson_pmf,
     enumerate_distribution,
+    enumerate_distributions,
     exact_count_moments,
     mc_tail_estimate,
     multinomial_log_pmf,
     multinomial_pmf,
     nu_n_constant,
 )
+
+from _closed_forms import mean_by_atoms, moment_by_atoms, tail_prob_by_atoms, var_by_atoms
 
 MIXED = explicit_model(4, [0.1, 0.2, 0.3, 0.4])
 
@@ -203,6 +206,25 @@ class TestEnumeration:
         enumerate_distribution(explicit_model(4, [0.1, 0.2, 0.3, 0.4]), Kernel.pds(1.0))
         assert rows == list(all_compositions(4, 4))
 
+    def test_wide_sparse_rows_share_blocks(self, monkeypatch):
+        # 257 of the 400 cells are looped over, and 33153 of the 80200
+        # compositions put both items there: each such prefix is one row
+        n, cells = 2, 400
+        model = uniform_model(n, cells)
+        total = math.comb(n + cells - 1, cells - 1)
+        fixed = cells - oracle._tail_cells(n, cells)
+        limit = oracle._block_limit(cells)
+        # prefixes with items left: each is one block, and may end a run of
+        # rows with no items left, flushed before it
+        with_items = sum(math.comb(s + fixed - 1, fixed - 1) for s in range(n))
+        sizes = []
+        rows = record_block_rows(monkeypatch, sizes)
+        got = enumerate_distribution(model, Kernel.count_exact(0))
+        assert len(rows) == total
+        assert len(sizes) <= math.ceil(total / limit) + 2 * with_items + 1
+        monkeypatch.undo()
+        assert (got.values, got.probs) == _recursive_walk(model, Kernel.count_exact(0), "canonical")
+
     def test_pruned_compositions_are_dropped(self, monkeypatch):
         # two or three items in the first cell is below 1e-300: pruned
         model = explicit_model(3, [1e-160, 0.5, 0.5 - 1e-160])
@@ -211,13 +233,16 @@ class TestEnumeration:
         assert rows == [c for c in all_compositions(3, 3) if c[0] <= 1]
 
 
-def record_block_rows(monkeypatch):
-    """Patch oracle.statistic_value to record the rows of every block it gets."""
+def record_block_rows(monkeypatch, sizes=None):
+    """Patch oracle.statistic_value to record the rows of every block it gets,
+    and each block's row count in sizes if given."""
     rows = []
 
     def recording(kernel, model, counts, frame="canonical"):
         assert counts.ndim == 2 and counts.dtype == np.int64
         rows.extend(map(tuple, counts.tolist()))
+        if sizes is not None:
+            sizes.append(len(counts))
         return statistic_value(kernel, model, counts, frame)
 
     monkeypatch.setattr(oracle, "statistic_value", recording)
@@ -233,8 +258,18 @@ def _recursive_walk(model, kernel, frame):
     counts = np.zeros(num_cells, dtype=np.int64)
     values = []
     probs = []
+    # c log p and lgamma(c + 1) at c = 0, as Python floats of the same bits
+    empty_terms = (0 * log_p).tolist()
+    lg_empty = float(lg[0])
 
     def walk(cell, remaining, partial):
+        if not remaining:
+            # every cell left takes no item: the same terms, added in a loop
+            # that does not recurse once per cell
+            counts[cell:] = 0
+            for term in empty_terms[cell : num_cells - 1]:
+                partial = partial + term - lg_empty
+            cell = num_cells - 1
         if cell == num_cells - 1:
             counts[cell] = remaining
             lp = partial + remaining * log_p[cell] - lg[remaining]
@@ -589,3 +624,64 @@ def test_merge_equals_the_chained_rule(atoms):
     got = oracle._merge_atoms(np.array(values), np.array(probs))
     assert [v.hex() for v in got.values] == [v.hex() for v in want[0]]
     assert [p.hex() for p in got.probs] == [p.hex() for p in want[1]]
+
+
+def _hexes(dist):
+    return [v.hex() for v in dist.values], [p.hex() for p in dist.probs]
+
+
+@WALK_PROPERTY
+@given(tiny_models, st.lists(count_kernels, min_size=1, max_size=4))
+def test_one_walk_gives_every_kernels_distribution(model, kernels):
+    tables = []
+    compositions = oracle._compositions
+
+    def counting(*args):
+        tables.append(args)
+        return compositions(*args)
+
+    with mock.patch.object(oracle, "_compositions", counting):
+        got = enumerate_distributions(model, kernels)
+    assert len(tables) == 1
+    assert len(got) == len(kernels)
+    for dist, kernel in zip(got, kernels):
+        assert _hexes(dist) == _hexes(enumerate_distribution(model, kernel))
+
+
+# values with NaN and infinite atoms, which argsort puts last and first
+atom_values = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 + 2**-52, math.inf, -math.inf, math.nan]),
+)
+
+
+def _bits(query, *args):
+    """A query's bits, or the error it raises."""
+    try:
+        return query(*args).hex()
+    except ValueError as exc:
+        return repr(exc)
+
+
+@WALK_PROPERTY
+@given(
+    st.lists(st.tuples(atom_values, st.floats(0.0, 1.0)), max_size=12),
+    st.data(),
+)
+def test_queries_equal_the_atom_by_atom_forms(atoms, data):
+    order = np.argsort([v for v, _ in atoms], kind="stable")
+    dist = ExactDistribution(
+        tuple(atoms[i][0] for i in order), tuple(atoms[i][1] for i in order)
+    )
+    known = st.sampled_from(dist.values) if atoms else st.nothing()
+    threshold = data.draw(st.one_of(known, atom_values, st.floats()))
+    for side in ("upper", "lower"):
+        for strict in (True, False):
+            assert _bits(dist.tail_prob, threshold, side, strict) == _bits(
+                tail_prob_by_atoms, dist, threshold, side, strict
+            )
+    assert _bits(dist.mean) == _bits(mean_by_atoms, dist)
+    assert _bits(dist.var) == _bits(var_by_atoms, dist)
+    k = data.draw(st.integers(0, 4))
+    center = data.draw(st.one_of(st.just(0.0), atom_values))
+    assert _bits(dist.moment, k, center) == _bits(moment_by_atoms, dist, k, center)
