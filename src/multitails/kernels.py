@@ -138,11 +138,6 @@ class LevelDistribution:
             pairs.append((int(parts[0]), float(parts[1])))
         return LevelDistribution(tuple(pairs))
 
-    def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-        levels = np.array([l for l, _ in self.pmf])
-        probs = np.array([p for _, p in self.pmf])
-        return rng.choice(levels, size=size, p=probs)
-
 
 @dataclass(frozen=True)
 class Kernel:
@@ -301,7 +296,8 @@ def _kernel_table(
         levels = kernel.levels
         top = levels.max_level
         survival = np.array([levels.survival(x) for x in range(top)] + [0.0])
-        return survival[np.minimum(k, top).astype(np.intp)]
+        # counts are whole and nonnegative; take clips those above top to it
+        return survival.take(k.astype(np.intp, copy=False), mode="clip")
     if form == "count_exact":
         return (k == kernel.r).astype(float)
     return (k >= kernel.r).astype(float)
@@ -466,30 +462,31 @@ def statistic_value(
     model: MultinomialModel,
     counts: np.ndarray,
     frame: str = "canonical",
-    level_draws: np.ndarray | None = None,
+    coins: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Value of the statistic on a vector of cell counts, or on each row of a block.
 
     The cells run along the last axis: one count vector gives a float, a
     (rows, N) block gives an array of one value per row, and each row's
-    value is bitwise the value of that row on its own.  A count-determined
-    statistic sums the summaries' per-cell kernel table over the cells of
-    its resolve_frame source and maps the total, so frames, collisions and
+    value is bitwise the value of that row on its own.  The statistic sums
+    the summaries' per-cell kernel table over the cells of its
+    resolve_frame source and maps the total, so frames, collisions and
     occupied cells hold their affine maps on counts that sum to n.  The
-    unfilled statistic needs the drawn per-cell levels, shaped like counts,
-    since it is not a function of counts alone.
+    unfilled statistic is not a function of counts alone: its table is the
+    probability P{level > count} that a cell is unfilled, and it counts the
+    cells whose coin, a uniform on [0, 1) shaped like counts, falls below it.
     """
     counts = np.asarray(counts)
     source, source_frame, fmap = resolve_frame(model, kernel, frame)
+    terms = _kernel_table(source, source_frame, counts, model.rates, np.power)
     if kernel.is_random:
-        if level_draws is None:
+        if coins is None:
             raise EvaluationError(
-                "unfilled statistic needs drawn per-cell levels; it is not a "
+                "unfilled statistic needs one uniform coin per cell; it is not a "
                 "function of the counts alone"
             )
-        total = (counts < level_draws).sum(axis=-1).astype(float)
-    else:
-        total = _kernel_table(source, source_frame, counts, model.rates, np.power).sum(axis=-1)
+        terms = coins < terms
+    total = terms.sum(axis=-1, dtype=float)
     value = float(total) if total.ndim == 0 else total
     return value if fmap is _IDENTITY else fmap.value(value, model.n)
 

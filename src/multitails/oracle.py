@@ -15,6 +15,7 @@ import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,19 +121,26 @@ class ExactDistribution:
     values: tuple[float, ...]
     probs: tuple[float, ...]
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # the atoms as arrays, built on the first moment query
+        return np.array(self.values), np.array(self.probs)
+
     @property
     def total(self) -> float:
         return math.fsum(self.probs)
 
     def mean(self) -> float:
+        values, probs = self._arrays
         with np.errstate(invalid="ignore"):
-            terms = np.array(self.values) * np.array(self.probs)
+            terms = values * probs
         return math.fsum(terms.tolist())
 
     def moment(self, k: int, center: float = 0.0) -> float:
+        values, probs = self._arrays
         # inf - inf and inf * 0 give NaN as quietly as Python's operators
         with np.errstate(invalid="ignore"):
-            terms = np.float_power(np.array(self.values) - center, k) * np.array(self.probs)
+            terms = np.float_power(values - center, k) * probs
         return math.fsum(terms.tolist())
 
     def var(self) -> float:
@@ -431,35 +439,91 @@ def _block_rows(model: MultinomialModel) -> int:
 # where numpy's binomial switches to BTPE (timeit, N = 8..4096, 2-core VM).
 _LABEL_MAX_FILL = 16
 
+# Non-uniform blocks are drawn as n alias-table labels per row when n <=
+# this many times N, and by rng.multinomial above.  The alias step costs a
+# second uniform matrix and two table lookups per label.  Multinomial time
+# over alias-label time per block of 2**16 // N rows (powerlaw(0.5)
+# probabilities, best of 5 x 10, 2-core VM):
+#   N       n = N    2N     3N     4N
+#   8        1.95   1.12   0.87   0.67
+#   64       3.45   2.19   1.04   0.77
+#   512      3.46   2.21   1.12   0.73
+#   4096     3.55   2.14   1.05   0.89
+_ALIAS_MAX_FILL = 2
+
+
+def _alias_table(probs) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias table (keep, alias) for drawing a cell with probabilities probs.
+
+    A label k drawn uniformly from the N cells stays k with probability
+    keep[k] and becomes alias[k] otherwise, so cell k is drawn with
+    probability (keep[k] + sum of 1 - keep[j] over j with alias[j] = k) / N.
+    Two stacks, filled in index order, hold the cells below and at or above
+    probability 1/N.  The top small cell keeps its own mass and takes the
+    rest of its 1/N from the top large cell, which moves to the small
+    stack once its excess is gone; the bits each such step rounds off are
+    kept and handed back when that cell is topped up in turn.  A cell of
+    probability 0 gets keep 0 and is no cell's alias, so it is never
+    drawn.  Cells left over hold 1/N up to rounding and keep their label.
+    """
+    num = len(probs)
+    scaled = (np.asarray(probs, dtype=float) * num).tolist()
+    lost = [0.0] * num
+    keep = [1.0] * num
+    alias = list(range(num))
+    small = [k for k, s in enumerate(scaled) if s < 1.0]
+    large = [k for k, s in enumerate(scaled) if s >= 1.0]
+    while small and large:
+        s, g = small.pop(), large[-1]
+        keep[s] = q = scaled[s] + lost[s]
+        alias[s] = g
+        # g gives up 1 - q; t - 1 is exact, and lost takes what t rounds off
+        a = scaled[g]
+        t = a + q
+        b = t - a
+        lost[g] += (a - (t - b)) + (q - b)
+        scaled[g] = t - 1.0
+        if scaled[g] < 1.0:
+            small.append(large.pop())
+    return np.array(keep), np.array(alias, dtype=np.intp)
+
 
 def _mc_chunk(args) -> np.ndarray:
     """Hits per threshold over trials start..stop, a run of whole blocks.
 
     Block b holds trials b*rows .. (b+1)*rows - 1, cut at the last trial.
     It is drawn from default_rng((seed, b)) as one (rows, N) count matrix,
-    plus one (rows, N) level matrix for random kernels, and its rows are
-    evaluated by one statistic call.  A uniform model with n <= 16 N draws
-    the counts as n integer cell labels per row, counted by one bincount;
-    every other model draws them with rng.multinomial.
+    plus one (rows, N) matrix of uniform coins for random kernels, and its
+    rows are evaluated by one statistic call.  A sparse block (n <= 16 N
+    for a uniform model, n <= 2 N for any other) draws its counts as n
+    integer cell labels per row, counted by one bincount; a non-uniform
+    model first moves each label k to alias[k] where a second uniform is
+    at or above keep[k] (_alias_table), and a uniform one needs no second
+    draw.  Denser blocks are drawn by rng.multinomial.
     """
     model, kernel, frame, thresholds, side, seed, start, stop = args
     rows = _block_rows(model)
     n, cells = model.n, model.num_cells
-    use_labels = model.is_uniform and n <= _LABEL_MAX_FILL * cells
+    uniform = model.is_uniform
+    use_labels = n <= (_LABEL_MAX_FILL if uniform else _ALIAS_MAX_FILL) * cells
+    if use_labels and not uniform:
+        keep, alias = _alias_table(model.probs)
     thr = np.asarray(thresholds)
     hits = np.zeros(thr.size, dtype=np.int64)
     for first in range(start, stop, rows):
         rng = np.random.default_rng((seed, first // rows))
         size = min(rows, stop - first)
         if use_labels:
-            # row i's labels land in bins i*N .. (i+1)*N - 1
             idx = rng.integers(0, cells, size=(size, n))
+            if not uniform:
+                idx = np.where(rng.random((size, n)) < keep[idx], idx, alias[idx])
+            # row i's labels land in bins i*N .. (i+1)*N - 1
             idx += np.arange(0, size * cells, cells)[:, None]
             counts = np.bincount(idx.ravel(), minlength=size * cells).reshape(size, cells)
         else:
             counts = rng.multinomial(n, model.probs, size=size)
-        draws = kernel.levels.draw(rng, counts.shape) if kernel.is_random else None
-        values = statistic_value(kernel, model, counts, frame, draws)[:, None]
+        coins = rng.random(counts.shape) if kernel.is_random else None
+        values = statistic_value(kernel, model, counts, frame, coins)[:, None]
         hits += (values > thr if side == "upper" else values < thr).sum(axis=0)
     return hits
 
@@ -498,10 +562,13 @@ def mc_tail_estimate(
     Trials are drawn in fixed blocks of max(1, 2**16 // N) trials, each
     seeded by (seed, block).  The trials are split into min(workers,
     blocks) runs of whole blocks, which min(runs, usable CPUs) processes
-    share, so results do not depend on the split.  A block of a uniform
-    model with n <= 16 N is drawn as integer cell labels counted by one
-    bincount, any other block by rng.multinomial.  Thresholds use strict
-    exceedance; x may be any finite real, including negative values.
+    share, so results do not depend on the split.  A sparse block (n <=
+    16 N for a uniform model, n <= 2 N for any other) is drawn as integer
+    cell labels, passed through an alias table on non-uniform models and
+    counted by one bincount; a denser block by rng.multinomial.  The
+    unfilled statistic flips one uniform coin per cell against P{level >
+    count}.  Thresholds use strict exceedance; x may be any finite real,
+    including negative values.
     """
     if trials < 1000:
         raise EvaluationError("tail estimation needs at least 1000 trials")

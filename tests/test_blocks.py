@@ -15,7 +15,7 @@ from multitails.kernels import (
     statistic_value,
 )
 from multitails.model import explicit_model, uniform_model
-from multitails.oracle import _block_rows, mc_tail_estimate
+from multitails.oracle import _ALIAS_MAX_FILL, _block_rows, mc_tail_estimate
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 # every example starts two process pools
@@ -57,14 +57,14 @@ models = st.one_of(
 def test_block_rows_equal_single_vectors(model, kernel, rows, seed):
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(model.n, model.probs, size=rows)
-    draws = LEVELS.draw(rng, counts.shape) if kernel.is_random else None
+    coins = rng.random(counts.shape) if kernel.is_random else None
     frames = FRAMES if kernel.family == "pds" else ("canonical",)
     for frame in frames:
-        block = statistic_value(kernel, model, counts, frame, draws)
+        block = statistic_value(kernel, model, counts, frame, coins)
         assert block.shape == (rows,) and block.dtype == np.float64
         for i in range(rows):
-            row_draws = None if draws is None else draws[i]
-            single = statistic_value(kernel, model, counts[i], frame, row_draws)
+            row_coins = None if coins is None else coins[i]
+            single = statistic_value(kernel, model, counts[i], frame, row_coins)
             assert isinstance(single, float)
             assert block[i] == single
 
@@ -118,17 +118,21 @@ def test_values_equal_the_family_formulas(model, kernel, rows, seed):
     st.integers(0, 10**6),
     st.sampled_from([Kernel.pds(1.0), Kernel.count_exact(0), Kernel.unfilled(LEVELS)]),
     st.integers(0, 2**31 - 1),
-    st.booleans(),
+    st.sampled_from(["labels", "alias", "multinomial"]),
 )
-@example(512, 0, 0, Kernel.pds(1.0), 7, False)  # 1024 trials, exactly 8 blocks
-@example(512, 0, 0, Kernel.pds(1.0), 7, True)
-def test_worker_split_invariance(cells, more_blocks, extra, kernel, seed, uniform):
-    # a uniform model at n = 2 N draws its blocks as cell labels, the
-    # two-rate model through rng.multinomial
-    if uniform:
+@example(512, 0, 0, Kernel.pds(1.0), 7, "alias")  # 1024 trials, exactly 8 blocks
+@example(512, 0, 0, Kernel.pds(1.0), 7, "labels")
+@example(512, 0, 0, Kernel.unfilled(LEVELS), 7, "multinomial")
+def test_worker_split_invariance(cells, more_blocks, extra, kernel, seed, path):
+    # at n = 2 N a uniform model draws its blocks as cell labels and the
+    # two-rate model as alias-table labels; above the alias cut the
+    # two-rate model goes through rng.multinomial
+    if path == "labels":
         model = uniform_model(2 * cells, cells)
-    else:
+    elif path == "alias":
         model = _two_rate_model(2 * cells, cells, cells // 3, 2.0)
+    else:
+        model = _two_rate_model((_ALIAS_MAX_FILL + 1) * cells, cells, cells // 3, 2.0)
     rows = _block_rows(model)
     # at least 1000 trials, a last block cut short unless extra % rows == 0
     trials = rows * (-(-1000 // rows) + more_blocks) + extra % rows

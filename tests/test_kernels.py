@@ -88,11 +88,16 @@ class TestLevelDistribution:
         with pytest.raises(ModelValidationError):
             LevelDistribution.from_csv("1;0.7\n")
 
-    def test_draw(self):
-        rng = np.random.default_rng(0)
-        draws = TWO_LEVEL.draw(rng, 4000)
-        assert set(np.unique(draws)) <= {1, 2}
-        assert np.mean(draws == 2) == pytest.approx(0.3, abs=0.03)
+    def test_coins_flip_at_the_survival(self):
+        # a cell with count c is unfilled when its coin falls below
+        # P{level > c}: 1 at c = 0, 0.3 at c = 1 and 0 from c = 2 on
+        model = explicit_model(3, [1 / 3.0] * 3)
+        counts = np.tile([0, 1, 2], (4000, 1))
+        coins = np.random.default_rng(0).random(counts.shape)
+        kernel = Kernel.unfilled(TWO_LEVEL)
+        values = statistic_value(kernel, model, counts, coins=coins)
+        assert set(np.unique(values)) <= {1.0, 2.0}
+        assert np.mean(values == 2.0) == pytest.approx(0.3, abs=0.03)
 
 
 class TestKernelConstruction:
@@ -260,16 +265,18 @@ class TestStatisticValue:
         collisions = statistic_value(Kernel.collisions(), self.MODEL, counts)
         assert collisions == empties + (self.MODEL.n - self.MODEL.num_cells)
 
-    def test_unfilled_needs_draws(self):
+    def test_unfilled_needs_coins(self):
         with pytest.raises(EvaluationError):
             statistic_value(Kernel.unfilled(TWO_LEVEL), self.MODEL, self.COUNTS)
 
-    def test_unfilled_counts_below_level(self):
+    def test_unfilled_counts_coins_below_survival(self):
+        # P{level > c} is 1, 0.3 and 0 at counts 0, 1 and 2
         kernel = Kernel.unfilled(TWO_LEVEL)
         model = explicit_model(3, [1 / 3.0] * 3)
         counts = np.array([0, 1, 2])
-        assert statistic_value(kernel, model, counts, level_draws=np.array([1, 1, 1])) == 1.0
-        assert statistic_value(kernel, model, counts, level_draws=np.array([2, 2, 3])) == 3.0
+        assert statistic_value(kernel, model, counts, coins=np.array([0.5, 0.5, 0.5])) == 1.0
+        assert statistic_value(kernel, model, counts, coins=np.array([0.99, 0.29, 0.0])) == 2.0
+        assert statistic_value(kernel, model, counts, coins=np.array([0.0, 0.3, 0.0])) == 1.0
 
     def test_unknown_frame(self):
         with pytest.raises(ModelValidationError):

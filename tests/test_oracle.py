@@ -7,6 +7,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,9 @@ from multitails.kernels import FRAMES, Kernel, LevelDistribution, moment_summary
 from multitails.model import explicit_model, uniform_model
 from multitails import oracle
 from multitails.oracle import (
+    _ALIAS_MAX_FILL,
     ExactDistribution,
+    _alias_table,
     _block_rows,
     _mc_chunk,
     conditioned_poisson_log_pmf,
@@ -402,6 +405,53 @@ class TestExactCountMoments:
             exact_count_moments(MIXED, -1)
 
 
+probability_lists = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(1.0, 2.0)), min_size=1, max_size=300
+).filter(lambda w: any(w))
+
+
+def check_alias_table(probs):
+    keep, alias = _alias_table(probs)
+    cells = probs.size
+    assert keep.shape == alias.shape == (cells,)
+    assert ((keep >= 0.0) & (keep <= 1.0)).all()
+    assert ((alias >= 0) & (alias < cells)).all()
+    # cell k is drawn with probability (keep[k] + sum over alias[j] = k of
+    # 1 - keep[j]) / N, each summed exactly
+    terms = [[q] for q in keep.tolist()]
+    for q, k in zip(keep.tolist(), alias.tolist()):
+        terms[k].append(1.0 - q)
+    pmf = np.array([math.fsum(t) / cells for t in terms])
+    # within 2 ulps of 1, the scale on which the probabilities sum
+    np.testing.assert_array_less(np.abs(pmf - probs), 2 * np.finfo(float).eps)
+    # a cell of probability 0 is never drawn, not even as an alias
+    zero = probs == 0.0
+    np.testing.assert_array_equal(pmf[zero], 0.0)
+    assert not zero[alias[keep < 1.0]].any()
+
+
+def normalized(weights):
+    total = math.fsum(weights)
+    return np.array([w / total for w in weights])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(probability_lists)
+@example([1.0])
+@example([0.0, 1.0])
+@example([1e-6] * 299 + [1e3])
+def test_alias_table_gives_the_probabilities(weights):
+    check_alias_table(normalized(weights))
+
+
+@pytest.mark.parametrize("shape", [0.3, 0.5])
+def test_alias_table_on_heavy_tails(shape):
+    # 4096 Pareto weights: long runs of cells topped up by one large cell,
+    # whose rounding, were it not handed back, reaches 2.5 and 10 ulps of 1
+    weights = np.random.default_rng(5).pareto(shape, 4096)
+    check_alias_table(normalized(weights.tolist()))
+
+
 class TestSampling:
     # one Monte Carlo block, observed through _mc_chunk: the count matrix it
     # hands to the statistic is recorded on the way through
@@ -412,9 +462,9 @@ class TestSampling:
     def draw_block(self, monkeypatch):
         seen = []
 
-        def record(kernel, model, counts, frame, level_draws):
+        def record(kernel, model, counts, frame, coins):
             seen.append(counts.copy())
-            return statistic_value(kernel, model, counts, frame, level_draws)
+            return statistic_value(kernel, model, counts, frame, coins)
 
         monkeypatch.setattr(oracle, "statistic_value", record)
 
@@ -457,14 +507,82 @@ class TestSampling:
         counts, _ = draw_block(3, 1, model=model)
         np.testing.assert_array_equal(counts, self.label_counts(model, 3, 1))
 
-    # a non-uniform model, and a uniform one with n > 16 N
-    @pytest.mark.parametrize("model", [MIXED, uniform_model(64, 2)], ids=["non-uniform", "dense"])
-    def test_other_blocks_are_the_multinomial_stream(self, draw_block, model):
+    @staticmethod
+    def alias_counts(model, seed, block):
+        # n cell labels per row from default_rng((seed, block)), then one
+        # uniform per label from the same stream: label k moves to alias[k]
+        # where its uniform is at or above keep[k]; counted per row
+        cells, shape = model.num_cells, (_block_rows(model), model.n)
+        stream = np.random.default_rng((seed, block))
+        labels = stream.integers(0, cells, size=shape)
+        moves = stream.random(shape)
+        keep, alias = _alias_table(model.probs)
+        labels = np.where(moves >= keep[labels], alias[labels], labels)
+        return (labels[:, :, None] == np.arange(cells)).sum(axis=1)
+
+    # non-uniform models at n = N and at the alias cut n = 2 N
+    @pytest.mark.parametrize(
+        "model", [MIXED, explicit_model(_ALIAS_MAX_FILL * 4, MIXED.probs)],
+        ids=["non-uniform", "alias-cut"],
+    )
+    def test_sparse_non_uniform_blocks_are_the_alias_stream(self, draw_block, model):
+        counts, _ = draw_block(3, 1, model=model)
+        np.testing.assert_array_equal(counts, self.alias_counts(model, 3, 1))
+        assert not np.array_equal(counts, draw_block(3, 2, model=model)[0])
+
+    # a non-uniform model with n > 2 N, and a uniform one with n > 16 N
+    @pytest.mark.parametrize(
+        "model", [explicit_model(_ALIAS_MAX_FILL * 4 + 1, MIXED.probs), uniform_model(64, 2)],
+        ids=["non-uniform-dense", "dense"],
+    )
+    def test_dense_blocks_are_the_multinomial_stream(self, draw_block, model):
         counts, _ = draw_block(3, 1, model=model)
         stream = np.random.default_rng((3, 1))
         np.testing.assert_array_equal(
             counts, stream.multinomial(model.n, model.probs, size=_block_rows(model))
         )
+
+    def test_alias_counts_follow_the_multinomial_law(self, draw_block):
+        # 2**17 rows of MIXED (n = N = 4) in 8 blocks: the frequencies of its
+        # 35 compositions against their exact probabilities, every expected
+        # count at least 13
+        blocks = 8
+        counts = np.concatenate([draw_block(17, b, model=MIXED)[0] for b in range(blocks)])
+        rows = len(counts)
+        assert rows == blocks * 2**14
+        found = {}
+        for row in map(tuple, counts.tolist()):
+            found[row] = found.get(row, 0) + 1
+        comps = list(all_compositions(4, 4))
+        assert set(found) <= set(comps)
+        expected = [rows * multinomial_pmf(c, MIXED) for c in comps]
+        assert min(expected) > 13
+        chi2 = math.fsum((found.get(c, 0) - e) ** 2 / e for c, e in zip(comps, expected))
+        # 34 degrees of freedom, a false alarm in 10**6 seeds
+        assert chi2 < scipy.stats.chi2.isf(1e-6, 34)
+
+    def test_unfilled_mean_on_a_non_uniform_model(self, monkeypatch):
+        # the mean unfilled count over Monte Carlo rows against
+        # sum over compositions of pmf * sum_i P{level > c_i}
+        levels = LevelDistribution(((0, 0.2), (1, 0.3), (3, 0.5)))
+        kernel = Kernel.unfilled(levels)
+        values = []
+
+        def record(*args):
+            values.append(statistic_value(*args))
+            return values[-1]
+
+        monkeypatch.setattr(oracle, "statistic_value", record)
+        rows = 8 * _block_rows(MIXED)
+        _mc_chunk((MIXED, kernel, "canonical", (0.0,), "upper", 23, 0, rows))
+        sample = np.concatenate(values)
+        assert sample.size == rows
+        exact = math.fsum(
+            multinomial_pmf(c, MIXED) * math.fsum(levels.survival(x) for x in c)
+            for c in all_compositions(4, 4)
+        )
+        stderr = sample.std(ddof=1) / math.sqrt(rows)
+        assert abs(sample.mean() - exact) < 4 * stderr
 
     def test_counts_shape_and_total(self, draw_block):
         counts, _ = draw_block(0, 0)
