@@ -109,46 +109,25 @@ def _kernel_from_args(args) -> Kernel:
 
 def _emit(payload: dict, rows: list[dict], fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(_json_text(payload, 0) + "\n")
+        sys.stdout.write(_json_text(payload) + "\n")
         return
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)
 
 
-def _json_scalar(o) -> str | None:
-    """A JSON scalar as json.dumps writes it, or None for a container."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o in (math.inf, -math.inf):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
-    if isinstance(o, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+def _json_records(rows) -> str | None:
+    """A non-empty list of dicts with the same str keys in the same order,
+    every value a float (np.float64 included), as json.dumps(rows,
+    indent=2) writes it as a value of a top-level dict; None for any other
+    object.
 
-
-def _json_records(rows: list, level: int) -> str | None:
-    """A list of dicts with the same str keys in the same order, holding
-    only scalars, as json.dumps(rows, indent=2) writes it at nesting level;
-    None for any other list.
-
-    Each row fills one template, and each column is formatted at once: an
-    all-float column by one call of the C encoder, whose float reprs hold
-    no ", " to split on.
+    Each column is formatted by one call of the C encoder, whose float
+    reprs hold no ", " to split on, and each row fills one template.
     """
-    keys = list(rows[0]) if type(rows[0]) is dict else None
+    if type(rows) is not list or not rows or type(rows[0]) is not dict:
+        return None
+    keys = list(rows[0])
     if (
         not keys
         or not all(isinstance(k, str) for k in keys)
@@ -157,52 +136,34 @@ def _json_records(rows: list, level: int) -> str | None:
     ):
         return None
     cols = [[r[k] for r in rows] for k in keys]
-    kinds = [set(map(type, col)) for col in cols]
-    if any(issubclass(t, (list, tuple, dict)) for ts in kinds for t in ts):
+    if not all(issubclass(t, float) for col in cols for t in set(map(type, col))):
         return None
-    texts = [
-        json.dumps(col)[1:-1].split(", ")
-        if all(issubclass(t, float) for t in ts)
-        else [_json_scalar(v) for v in col]
-        for col, ts in zip(cols, kinds)
-    ]
-    inner = "\n" + "  " * (level + 1)
-    deep = inner + "  "
+    texts = [json.dumps(col)[1:-1].split(", ") for col in cols]
     template = (
-        "{" + deep
-        + ("," + deep).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-        + inner + "}"
+        "{\n      "
+        + ",\n      ".join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+        + "\n    }"
     )
-    rows_text = ("," + inner).join(template % r for r in zip(*texts))
-    return "[" + inner + rows_text + "\n" + "  " * level + "]"
+    return "[\n    " + ",\n    ".join(template % r for r in zip(*texts)) + "\n  ]"
 
 
-def _json_text(o, level: int) -> str:
-    """json.dumps(o, indent=2), written at nesting level, byte for byte."""
-    scalar = _json_scalar(o)
-    if scalar is not None:
-        return scalar
-    if not o:
-        return "{}" if isinstance(o, dict) else "[]"
-    inner = "\n" + "  " * (level + 1)
-    outer = "\n" + "  " * level
-    if isinstance(o, dict):
-        items = []
-        for key, value in o.items():
-            if not isinstance(key, str):
-                if isinstance(key, (float, int)) or key is None:
-                    key = _json_scalar(key)
-                else:
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}"
-                    )
-            items.append(encode_basestring_ascii(key) + ": " + _json_text(value, level + 1))
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    records = _json_records(o, level)
-    if records is not None:
-        return records
-    return "[" + inner + ("," + inner).join(_json_text(v, level + 1) for v in o) + outer + "]"
+def _json_text(o) -> str:
+    """json.dumps(o, indent=2), byte for byte.
+
+    A top-level value of a str-keyed dict that _json_records takes is
+    written as null by json.dumps and then spliced in by _json_records.
+    """
+    if type(o) is not dict or not all(isinstance(k, str) for k in o):
+        return json.dumps(o, indent=2)
+    records = {k: text for k, v in o.items() if (text := _json_records(v)) is not None}
+    text = json.dumps({k: None if k in records else v for k, v in o.items()}, indent=2)
+    for key, value in records.items():
+        # json.dumps escapes every newline inside a string and indents
+        # nested items by four or more spaces, so a newline, two spaces
+        # and a quoted key can only start that key's top-level item.
+        item = "\n  " + encode_basestring_ascii(key) + ": "
+        text = text.replace(item + "null", item + value, 1)
+    return text
 
 
 def _zone_payload(model, kernel, summary):

@@ -159,8 +159,15 @@ def power_law_model(n: int, num_cells: int, alpha: float) -> MultinomialModel:
     if not math.isfinite(alpha):
         raise ModelValidationError(f"alpha must be finite, got {alpha}")
     m = np.arange(1, num_cells + 1, dtype=float)
-    weights = m**-alpha
-    probs = weights / math.fsum(weights.tolist())
+    with np.errstate(over="ignore"):
+        weights = m**-alpha
+    try:
+        total = math.fsum(weights.tolist())
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise ModelValidationError(f"alpha = {alpha} overflows the weights of {num_cells} cells")
+    probs = weights / total
     return MultinomialModel(n=n, probs=probs, family="power_law")
 
 

@@ -577,6 +577,8 @@ def mc_tail_estimate(
     workers = int(workers)
     if workers < 1:
         raise EvaluationError(f"workers must be at least 1, got {workers}")
+    if seed < 0:
+        raise EvaluationError(f"seed must be non-negative, got {seed}")
     xs = [float(x) for x in x_list]
     if any(not math.isfinite(x) for x in xs):
         raise EvaluationError("x values must be finite")

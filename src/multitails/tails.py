@@ -52,9 +52,14 @@ class CorrectionCoeffs:
         if self.order == 0:
             return 0.0
         sign = 1.0 if side == "upper" else -1.0
-        m = sign * self.mu0 * x**3
-        if self.order >= 2:
-            m += self.mu1 * x**4
+        try:
+            m = sign * self.mu0 * x**3
+            if self.order >= 2:
+                m += self.mu1 * x**4
+        except OverflowError:
+            m = math.inf
+        if math.isinf(m):
+            raise EvaluationError(f"the correction exponent overflows at x = {x!r}")
         return m
 
 
@@ -172,7 +177,9 @@ def tail_probability(
     The upper side approximates P{T >= mean + x sigma}, the lower side
     P{T <= mean - x sigma}.  in_zone reports whether x is within
     zone_fraction of the zone boundary; outside it the numbers are
-    extrapolation, reported but not certified.
+    extrapolation, reported but not certified.  A corrected p above 1,
+    including one whose exponential overflows, is clamped to 1; a
+    correction exponent that overflows a float is an EvaluationError.
     """
     if not (x >= 0.0) or not math.isfinite(x):
         raise ModelValidationError(f"standardized deviation must be >= 0, got {x!r}")
@@ -197,7 +204,11 @@ def tail_probability(
             p = math.exp(log_p)
     else:
         p1 = _normal_tail(x)
-        p = p1 * math.exp(m)
+        try:
+            p = p1 * math.exp(m)
+        except OverflowError:
+            # p1 >= 1 - Phi(8) > 6e-16, so p is far above 1
+            p = math.inf
         if p > 1.0:
             p = 1.0
             clamped = True

@@ -160,6 +160,23 @@ class TestTail:
         assert rows[0]["in_zone"] is True
         assert rows[1]["in_zone"] is False
 
+    @pytest.mark.parametrize(
+        "argv, rows, expected",
+        [
+            (["tail"], "tails", {"p_corrected": 1.0, "clamped": True}),
+            (["simulate", "--trials", "1000"], "results", {"p_corrected": 1.0}),
+        ],
+        ids=["tail", "simulate"],
+    )
+    def test_overflowing_correction_clamps(self, capsys, argv, rows, expected):
+        # exp of the correction exponent overflows a float at x = 1
+        payload = run_json(
+            capsys, *argv, "--model", "uniform", "--n", "64", "--cells", "32",
+            "--kernel", "count:40", "--x", "1",
+        )
+        (row,) = payload[rows]
+        assert {k: row[k] for k in expected} == expected
+
     def test_order_two(self, capsys):
         payload = run_json(
             capsys, "tail", "--model", "uniform", "--n", "64", "--cells", "16",
@@ -544,13 +561,21 @@ class TestExitCodes:
              "--zone-fraction=-3"],
             ["simulate", "--n", "10", "--cells", "4", "--kernel", "pds:1", "--x", "1",
              "--trials", "1000", "--workers", "0"],
+            ["simulate", "--n", "10", "--cells", "4", "--kernel", "pds:1", "--x", "1",
+             "--trials", "1000", "--seed=-1"],
+            # x**3 itself overflows a float
+            ["tail", "--n", "64", "--cells", "32", "--kernel", "pds:1", "--x", "1e103"],
+            # every weight is finite, but their sum overflows
+            ["moments", "--model", "powerlaw", "--n", "64", "--cells", "1000",
+             "--alpha=-102.66", "--kernel", "pds:1"],
         ],
         ids=[
             "probs-missing", "probs-malformed", "ell-missing", "ell-malformed",
             "levels-missing", "levels-malformed", "input-missing", "zero-cells",
             "negative-cells", "nan-zone-fraction", "simulate-nan-zone-fraction",
             "rngtest-nan-zone-fraction", "rngtest-negative-zone-fraction",
-            "simulate-zero-workers",
+            "simulate-zero-workers", "simulate-negative-seed", "tail-exponent-overflow",
+            "powerlaw-weight-sum-overflow",
         ],
     )
     def test_bad_outside_input(self, capsys, tmp_path, argv):
@@ -565,6 +590,15 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_overflowing_weights_warn_nothing(self, capsys):
+        code, _, err = run(
+            capsys, "moments", "--model", "powerlaw", "--n", "64", "--cells", "32",
+            "--alpha", "-800", "--kernel", "pds:1",
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("method", ["auto", "series", "closed_form"])
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Corrected tail approximations and validity zones."""
 
 import math
+import re
 
 import mpmath
 import pytest
@@ -191,6 +192,27 @@ class TestTailProbability:
         res = tail_probability(10.0, "upper", plain_summary(), coeffs, 100.0)
         assert res.clamped
         assert res.p_corrected == 1.0
+
+    def test_clamp_when_exp_overflows(self):
+        # exp(1000) overflows a float; the log path clamps the same exponent
+        coeffs = CorrectionCoeffs(1000.0, 0.0, 1)
+        res = tail_probability(1.0, "upper", plain_summary(), coeffs, 10.0)
+        assert res.clamped
+        assert res.p_corrected == 1.0
+        assert res.correction_exponent == 1000.0
+
+    @pytest.mark.parametrize(
+        "coeffs, x",
+        [
+            (CorrectionCoeffs(1.0, 0.0, 1), 1e103),  # x**3 overflows
+            (CorrectionCoeffs(1.0, 1.0, 2), 1e80),  # x**4 overflows
+            (CorrectionCoeffs(-1e300, 0.0, 1), 1e5),  # mu0 * x**3 overflows
+        ],
+        ids=["cube", "quartic", "product"],
+    )
+    def test_overflowing_exponent_is_an_evaluation_error(self, coeffs, x):
+        with pytest.raises(EvaluationError, match=re.escape(f"x = {x!r}")):
+            tail_probability(x, "upper", plain_summary(), coeffs, 10.0)
 
     def test_log_path_corrected_value(self):
         coeffs = CorrectionCoeffs(1e-4, 0.0, 1)
