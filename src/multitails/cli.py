@@ -166,6 +166,11 @@ def _json_text(o) -> str:
     return text
 
 
+def _header(model, kernel) -> dict:
+    model_spec = {"n": model.n, "cells": model.num_cells, "family": model.family}
+    return {"model": model_spec, "kernel": kernel.to_spec()}
+
+
 def _zone_payload(model, kernel, summary):
     try:
         info = zone_bound(model, kernel, summary)
@@ -180,14 +185,12 @@ def _zone_payload(model, kernel, summary):
 
 
 def _cmd_moments(args) -> int:
-    model = _model_from_args(args)
-    kernel = _kernel_from_args(args)
+    model, kernel = _model_from_args(args), _kernel_from_args(args)
     regime = classify_regime(model)
     summary = moment_summary(model, kernel, method=args.method, frame=args.frame)
     _, zone = _zone_payload(model, kernel, summary)
     payload = {
-        "model": {"n": model.n, "cells": model.num_cells, "family": model.family},
-        "kernel": kernel.to_spec(),
+        **_header(model, kernel),
         "regime": regime.tag.value,
         "uniform": regime.uniform,
         "method": args.method,
@@ -258,8 +261,7 @@ def _parse_x_grid(raw) -> list[float]:
 
 
 def _cmd_tail(args) -> int:
-    model = _model_from_args(args)
-    kernel = _kernel_from_args(args)
+    model, kernel = _model_from_args(args), _kernel_from_args(args)
     xs = _parse_x_grid(args.x)
     if not xs:
         raise ModelValidationError("at least one --x is required")
@@ -269,8 +271,7 @@ def _cmd_tail(args) -> int:
         model, kernel, summary, xs, sides, args.order, args.zone_fraction
     )
     payload = {
-        "model": {"n": model.n, "cells": model.num_cells, "family": model.family},
-        "kernel": kernel.to_spec(),
+        **_header(model, kernel),
         "summary": summary.to_dict(),
         "order": args.order,
         "mu0": coeffs.mu0,
@@ -283,49 +284,31 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    model = _model_from_args(args)
-    kernel = _kernel_from_args(args)
+    model, kernel = _model_from_args(args), _kernel_from_args(args)
     dist = enumerate_distribution(model, kernel, frame=args.frame)
-    payload = {
-        "model": {"n": model.n, "cells": model.num_cells, "family": model.family},
-        "kernel": kernel.to_spec(),
-        "atom_count": len(dist.values),
-        "mean": dist.mean(),
-        "var": dist.var(),
-    }
-    rows: list[dict]
+    stats = {"atom_count": len(dist.values), "mean": dist.mean(), "var": dist.var()}
+    payload, rows = {**_header(model, kernel), **stats}, [stats]
     xs = _parse_x_grid(args.x)
     if xs:
         summary = moment_summary(model, kernel, method=args.method, frame=args.frame)
-        tails = []
-        for x in xs:
-            thr = summary.mean + x * summary.sigma
-            tails.append(
-                {
-                    "x": x,
-                    "threshold": thr,
-                    "p_upper_exact": dist.tail_prob(thr, "upper"),
-                    "p_lower_exact": dist.tail_prob(
-                        summary.mean - x * summary.sigma, "lower"
-                    ),
-                }
-            )
-        payload["tails"] = tails
-        rows = tails
-    else:
-        rows = [{"atom_count": payload["atom_count"], "mean": payload["mean"], "var": payload["var"]}]
-    if args.atoms:
-        payload["atoms"] = [
-            {"value": v, "prob": p} for v, p in zip(dist.values, dist.probs)
+        mean, sigma = summary.mean, summary.sigma
+        rows = payload["tails"] = [
+            {
+                "x": x,
+                "threshold": mean + x * sigma,
+                "p_upper_exact": dist.tail_prob(mean + x * sigma, "upper"),
+                "p_lower_exact": dist.tail_prob(mean - x * sigma, "lower"),
+            }
+            for x in xs
         ]
-        rows = payload["atoms"]
+    if args.atoms:
+        rows = payload["atoms"] = [{"value": v, "prob": p} for v, p in zip(dist.values, dist.probs)]
     _emit(payload, rows, args.format)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    model = _model_from_args(args)
-    kernel = _kernel_from_args(args)
+    model, kernel = _model_from_args(args), _kernel_from_args(args)
     xs = _parse_x_grid(args.x)
     if not xs:
         raise ModelValidationError("at least one --x is required")
@@ -346,11 +329,11 @@ def _cmd_simulate(args) -> int:
     for i, x in enumerate(est.x):
         # approximations are defined for x >= 0; negative x rows carry
         # the Monte Carlo estimate alone
-        res = None
+        p1, approx, in_zone, z = math.nan, math.nan, False, math.nan
         if x >= 0:
             res = tail_probability(x, args.side, summary, coeffs, info, args.zone_fraction)
-        half = est.halfwidth(i)
-        approx = res.p_corrected if res is not None else math.nan
+            p1, approx, in_zone = res.p_first_order, res.p_corrected, res.in_zone
+            z = (approx - est.p_hat[i]) / est.halfwidth(i)
         rows.append(
             {
                 "x": x,
@@ -358,15 +341,14 @@ def _cmd_simulate(args) -> int:
                 "p_hat": est.p_hat[i],
                 "ci_low": est.ci_low[i],
                 "ci_high": est.ci_high[i],
-                "p_first_order": res.p_first_order if res is not None else math.nan,
+                "p_first_order": p1,
                 "p_corrected": approx,
-                "z_discrepancy": (approx - est.p_hat[i]) / half if res is not None else math.nan,
-                "in_zone": res.in_zone if res is not None else False,
+                "z_discrepancy": z,
+                "in_zone": in_zone,
             }
         )
     payload = {
-        "model": {"n": model.n, "cells": model.num_cells, "family": model.family},
-        "kernel": kernel.to_spec(),
+        **_header(model, kernel),
         "summary": summary.to_dict(),
         "order": args.order,
         "trials": est.trials,

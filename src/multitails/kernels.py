@@ -21,7 +21,9 @@ the only code that knows which statistic is an image of which.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -61,8 +63,13 @@ __all__ = [
 FRAMES = ("canonical", "power", "bare", "divergence")
 
 # Cross-check tolerance used by the auto method when an exact closed form
-# exists alongside the series path.
+# exists alongside the series path, relative past a rounding floor.
 _AUTO_XCHECK_RTOL = 1e-8
+
+# An unfilled kernel is a table of one value per count below the top level,
+# and its closed form takes one pmf per entry and distinct rate: at this cap
+# `moments` on powerlaw(200,100) takes 1.2 s (2-core VM).
+_MAX_LEVEL = 10**4
 
 # Divergence parameters within this distance of zero collapse to the
 # logarithmic limit kernel.
@@ -103,17 +110,13 @@ class LevelDistribution:
             raise ModelValidationError(
                 "level distribution must put some mass on positive levels"
             )
+        if pairs[-1][0] > _MAX_LEVEL:
+            raise ModelValidationError(f"level {pairs[-1][0]} is above the cap {_MAX_LEVEL}")
         object.__setattr__(self, "pmf", pairs)
 
     @property
     def max_level(self) -> int:
         return self.pmf[-1][0]
-
-    def prob(self, level: int) -> float:
-        for l, p in self.pmf:
-            if l == level:
-                return p
-        return 0.0
 
     def survival(self, x: float) -> float:
         """P{level > x}."""
@@ -147,9 +150,15 @@ class Kernel:
     d: float | None = None
     r: int | None = None
     levels: LevelDistribution | None = None
+    # The per-cell kernel as a bounded lookup (first, values, tail): 0 below
+    # count first, values[k - first] on the table and tail past it.  count:r
+    # is (r, [1], 0), atleast:r (r, [], 1) and unfilled (0, [P{level > k} for
+    # k below the top level], 0); pds and collisions have none.
+    lookup: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family == "pds":
+        family, lookup = self.family, None
+        if family == "pds":
             if self.d is None or not math.isfinite(self.d) or self.d <= -1.0:
                 raise ModelValidationError(
                     f"power-divergence parameter must be a finite real > -1, got {self.d}"
@@ -159,19 +168,21 @@ class Kernel:
             # in the generic power form, so snap it to the limit exactly.
             if abs(self.d) < _D_ZERO_SNAP:
                 object.__setattr__(self, "d", 0.0)
-        elif self.family == "count_exact":
-            if self.r is None or self.r < 0:
-                raise ModelValidationError("count_exact requires an integer r >= 0")
-        elif self.family == "count_at_least":
-            if self.r is None or self.r < 1:
-                raise ModelValidationError("count_at_least requires an integer r >= 1")
-        elif self.family == "collisions":
-            pass
-        elif self.family == "unfilled":
+        elif family in ("count_exact", "count_at_least"):
+            least = int(family == "count_at_least")
+            if self.r is None or self.r < least:
+                raise ModelValidationError(f"{family} requires an integer r >= {least}")
+            lookup = (self.r, np.ones(1 - least), float(least))
+        elif family == "unfilled":
             if self.levels is None:
                 raise ModelValidationError("unfilled requires a level distribution")
-        else:
-            raise ModelValidationError(f"unknown kernel family {self.family!r}")
+            # P{level > k} below the top level: one fsum per level, repeated to the next
+            pmf = self.levels.pmf
+            tails = [math.fsum(p for _, p in pmf[j:]) for j in range(len(pmf))]
+            lookup = (0, np.repeat(tails, np.diff([0] + [l for l, _ in pmf])), 0.0)
+        elif family != "collisions":
+            raise ModelValidationError(f"unknown kernel family {family!r}")
+        object.__setattr__(self, "lookup", lookup)
 
     @staticmethod
     def pds(d: float) -> "Kernel":
@@ -201,20 +212,14 @@ class Kernel:
 
     def describe(self) -> str:
         if self.family == "pds":
-            if self.d == 1.0:
-                return "pds(1) [quadratic cell-balance]"
-            if self.d == 0.0:
-                return "pds(0) [log-likelihood]"
-            if self.d == -0.5:
-                return "pds(-1/2) [root-difference]"
-            return f"pds({self.d:g})"
-        if self.family == "count_exact":
-            return f"cells with count exactly {self.r}"
-        if self.family == "count_at_least":
-            return f"cells with count at least {self.r}"
-        if self.family == "collisions":
-            return "collision total"
-        return "unfilled cells"
+            classical = {1.0: "pds(1) [quadratic cell-balance]", 0.0: "pds(0) [log-likelihood]",
+                         -0.5: "pds(-1/2) [root-difference]"}
+            return classical.get(self.d, f"pds({self.d:g})")
+        return {
+            "count_exact": f"cells with count exactly {self.r}",
+            "count_at_least": f"cells with count at least {self.r}",
+            "collisions": "collision total",
+        }.get(self.family, "unfilled cells")
 
     def to_spec(self) -> dict:
         spec: dict = {"family": self.family}
@@ -281,10 +286,11 @@ def _kernel_table(
 ) -> np.ndarray:
     """The per-cell kernel summed in the frame, at counts k of cells with rates lam.
 
-    For the unfilled family the value is the conditional unfilled
-    probability P{level > k}, since the kernel is a coin flip given the
-    count.  The divergence form, collisions and occupied cells are summed
-    through their affine sources (see resolve_frame), so they need none.
+    Count and unfilled kernels are a take on their lookup table; for the
+    unfilled family the value is the conditional unfilled probability
+    P{level > k}, since the kernel is a coin flip given the count.  The
+    divergence form, collisions and occupied cells are summed through
+    their affine sources (see resolve_frame), so they need none.
     The default power is the C library's pow; numpy's vectorized np.power
     is an ulp off on some counts, which moved variances at rate 1e5 by
     1e-12, but it is 2.3x faster on the blocks statistic_value evaluates.
@@ -292,15 +298,11 @@ def _kernel_table(
     form = _form(kernel, frame)
     if form in ("centered", "power", "bare"):
         return _pds_terms(kernel.d, form, lam, k, power)
-    if form == "unfilled":
-        levels = kernel.levels
-        top = levels.max_level
-        survival = np.array([levels.survival(x) for x in range(top)] + [0.0])
-        # counts are whole and nonnegative; take clips those above top to it
-        return survival.take(k.astype(np.intp, copy=False), mode="clip")
-    if form == "count_exact":
-        return (k == kernel.r).astype(float)
-    return (k >= kernel.r).astype(float)
+    # one take on the lookup's table from count 0 up to the largest count
+    first, values, tail = kernel.lookup
+    top = int(k.max(initial=0)) + 1
+    table = np.concatenate((np.zeros(min(first, top)), values[:max(0, top - first)], [tail]))
+    return table.take(k.astype(np.intp, copy=False), mode="clip")
 
 
 def _pds_terms(d: float, form: str, rates, c: np.ndarray, power) -> np.ndarray:
@@ -533,16 +535,8 @@ class MomentSummary:
         return math.sqrt(self.var)
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "tau": self.tau,
-            "raw_var": self.raw_var,
-            "var": self.var,
-            "beta3": self.beta3,
-            "beta4": self.beta4,
-            "frame": self.frame,
-            "approximate": self.approximate,
-        }
+        # vars holds the fields in declaration order
+        return {k: v for k, v in vars(self).items() if k != "aggregates"}
 
 
 def moment_summary(
@@ -582,34 +576,48 @@ def moment_summary(
     return base if fmap is _IDENTITY else fmap.summary(base, model.n, frame)
 
 
+def _agree(what: str, a: float, b: float, floor: float) -> None:
+    """Raise unless a and b agree to _AUTO_XCHECK_RTOL relative, past a rounding floor."""
+    if abs(a - b) > _AUTO_XCHECK_RTOL * max(abs(a), abs(b)) + floor:
+        raise EvaluationError(f"{what}: {a!r} vs {b!r}")
+
+
 def _cross_check(model, series: MomentSummary, closed) -> None:
+    """The series summary against a closed form, past the series' rounding floor.
+
+    A window sum of W terms is off by up to about 4 W eps times the sum of
+    the terms' sizes (see _series_summary), which Cauchy-Schwarz bounds by
+    sqrt(E h^2) for E h and sqrt(E h^2 rate) for E h (x - rate) per cell;
+    E h^2 sums over the cells to at most raw_var + mean^2, since every
+    kernel with a closed form is nonnegative.
+    """
     if closed is None:
         return
-    mean, tau, raw_var, _ = closed
+    n, (mean, tau, raw_var, _) = model.n, closed
+    lo, hi = window_bounds(model.rate_groups()[0][-1])
+    noise = 4.0 * float(hi - lo + 1.0) * np.finfo(float).eps
+    size = noise * math.sqrt(series.raw_var + series.mean**2)
+    t, v = size / math.sqrt(n), (noise * series.mean) ** 2
+    # raw_var is var + n tau^2 on both sides, so it agrees when those do
     exact = {
-        "mean": mean, "tau": tau, "raw_var": raw_var,
-        "var": raw_var - model.n * tau * tau,
+        "mean": (mean, size * math.sqrt(model.num_cells)), "tau": (tau, t),
+        "var": (raw_var - n * tau * tau, v),
     }
-    for name, b in exact.items():
-        a = getattr(series, name)
-        if abs(a - b) > _AUTO_XCHECK_RTOL * max(1.0, abs(a), abs(b)):
-            raise EvaluationError(
-                f"series and closed-form summaries disagree on {name}: "
-                f"{a!r} vs {b!r}"
-            )
+    for name, (b, floor) in exact.items():
+        what = f"series and closed-form summaries disagree on {name}"
+        _agree(what, getattr(series, name), b, floor)
 
 
 def _reference_walk(lam, lo, row, center, cov) -> None:
     """Check the table sums at one rate against a scalar expect_fn walk of the
     table's own kernel values (row, from count lo): weights, padding,
-    chunking and sums, not the kernel formulas."""
-    walk = expect_fn(lambda x: (h := row[x - lo], h * (x - lam)), lam)
-    for name, a, b in zip(("E h", "E h (x - rate)"), (center, cov), walk):
-        if abs(a - b) > _AUTO_XCHECK_RTOL * max(1.0, abs(a), abs(b)):
-            raise EvaluationError(
-                f"window table and reference walk disagree on {name} at rate {lam}: "
-                f"{a!r} vs {b!r}"
-            )
+    chunking and sums, not the kernel formulas.  The floor is
+    _series_summary's, for one rate."""
+    walk = expect_fn(lambda x: (h := row[x - lo], h * (x - lam), h * h), lam)
+    size = 4.0 * len(row) * np.finfo(float).eps * math.sqrt(walk[2])
+    floors = (size, size * math.sqrt(lam))
+    for name, a, b, floor in zip(("E h", "E h (x - rate)"), (center, cov), walk, floors):
+        _agree(f"window table and reference walk disagree on {name} at rate {lam}", a, b, floor)
 
 
 # window tables ---------------------------------------------------------------
@@ -746,55 +754,97 @@ def _closed_summary(model, kernel, frame) -> MomentSummary:
             mean=mean, tau=tau, raw_var=raw_var, var=raw_var - model.n * tau * tau,
             beta3=beta3, beta4=beta4, frame=frame, aggregates=aggregates,
         )
-    if kernel.family == "pds":
-        if classify_regime(model).very_sparse:
-            return _very_sparse_closed(model, kernel, frame)
-        raise UnsupportedCombinationError(
-            f"no closed-form summary for {kernel.describe()} in frame {frame!r} "
-            f"outside the very sparse regime"
-        )
+    # every lookup kernel has an exact closed form: only pds forms are left
+    if classify_regime(model).very_sparse:
+        return _very_sparse_closed(model, kernel, frame)
     raise UnsupportedCombinationError(
-        f"no closed-form summary for {kernel.describe()}"
+        f"no closed-form summary for {kernel.describe()} in frame {frame!r} "
+        f"outside the very sparse regime"
     )
 
 
 def _closed_moments(model, kernel, frame):
     """Exact (mean, tau, raw_var, E h per distinct rate), or None.
 
-    Closed forms need no series: the centered quadratic kernel, the count
-    kernels and the unfilled-cell kernel have them.
+    Closed forms need no series: the centered quadratic kernel and the
+    lookup kernels have them.  A lookup kernel is the probability that a
+    cell counts, so a cell's raw variance is E h E (1 - h).
     """
     n = model.n
     rates, mults = model.rate_groups()
-    form = _form(kernel, frame)
-    if form == "centered":
+    if _form(kernel, frame) == "centered":
         # Per-cell mean 1, covariance with the count exactly 1, variance
         # 2 + 1/rate.
         num_cells = model.num_cells
         raw_var = 2.0 * num_cells + float(math.fsum((1.0 / model.rates).tolist()))
         return float(num_cells), num_cells / n, raw_var, np.ones_like(rates)
-    r = kernel.r
-    if form == "count_exact":
-        occ = np.array([poisson_pmf(r, lam) for lam in rates])
-        cov = (r - rates) * occ
-        # 1 - e^-rate cancels at small rates; expm1 does not.  For r > 0,
-        # occ = P{x = r} is at most 1/e, so 1 - occ does not cancel.
-        rest = -np.expm1(-rates) if r == 0 else 1.0 - occ
-    elif form == "count_at_least":
-        # P{x < r} as summed: 1 - P{x >= r} cancels when the rates are large
-        rest = np.array([math.fsum(poisson_pmf(k, lam) for k in range(r)) for lam in rates])
-        occ = 1.0 - rest
-        # E x 1{x >= r} = lam P{x >= r - 1}, so the covariance is
-        # lam * P{x = r - 1}.
-        cov = rates * np.array([poisson_pmf(r - 1, lam) for lam in rates])
-    elif form == "unfilled":
-        pairs = [level_tau(kernel.levels, lam) for lam in rates]
-        occ = np.array([t for t, _ in pairs])
-        cov = rates * np.array([t_prime for _, t_prime in pairs])
-        rest = 1.0 - occ
-    else:
+    if kernel.lookup is None:
         return None
+    occ, cov, rest = _lookup_moments(kernel.lookup, rates)
     return float(mults @ occ), float(mults @ cov) / n, float(mults @ (occ * rest)), occ
+
+
+def _lookup_moments(lookup: tuple, rates: np.ndarray) -> np.ndarray:
+    """(E h, E h (x - rate), E (1 - h)) of a lookup kernel, one column per rate.
+
+    E h sums v P(k) over the table, plus tail P{x >= last}.  By Stein's
+    identity E h (x - lam) = lam E[h(x + 1) - h(x)], a sum over the steps
+    of h.  A step d into count k is written on k - 1 as lam d P(k - 1),
+    except a step up from 0 into a count that steps again, which is
+    written on k as k d P(k): a spike at r keeps (r - lam) P(r).  E (1 - h)
+    is 1 - E h up to E h = 1/2 and is summed from its own terms past it,
+    so neither side cancels.
+    """
+    first, values, tail = lookup
+    last = first + values.size
+    h = np.concatenate(([0.0], values, [tail]))  # at counts first - 1 .. last
+    step = np.diff(h)  # into counts first .. last
+    up = (h[:-1] == 0.0) & (np.append(step[1:], 0.0) != 0.0)
+    # P(k) at counts first - 1 .. last has the coefficient upper + lam lower;
+    # the counts are floats here, as first may pass int64
+    upper = np.append(0.0, up * step * (float(first) + np.arange(step.size))).tolist()
+    lower = np.append(~up * step, 0.0).tolist()
+    mul, vals, rests = operator.mul, values.tolist(), (1.0 - values).tolist()
+    split = cache(_poisson_split)
+    out = np.empty((3, rates.size))
+    for i, lam in enumerate(rates.tolist()):
+        pmf = [poisson_pmf(k, lam) if k >= 0 else 0.0 for k in range(first - 1, last + 1)]
+        mean = math.fsum([*map(mul, vals, pmf[1:]), tail and tail * split(last, lam)[1]])
+        cov = math.fsum(p * (u + lam * d) for p, u, d in zip(pmf, upper, lower))
+        rest = 1.0 - mean if mean <= 0.5 else math.fsum(
+            [*map(mul, rests, pmf[1:]), (1.0 - tail) * split(last, lam)[1], split(first, lam)[0]]
+        )
+        out[:, i] = mean, cov, rest
+    return out
+
+
+def _poisson_split(m: int, lam: float) -> tuple[float, float]:
+    """(P{x < m}, P{x >= m}) at rate lam: the side away from lam, which
+    holds at most about 1/2, is summed from m outwards to 2^-70 of its
+    first term, and the other side is 1 minus it.  Each term is
+    poisson_pmf's, inlined: a recurrence would carry the first term's
+    rounding into all of them, 1e-12 near rate 1000.  P{x >= 1} is
+    -expm1(-lam), as those terms are 11 ulps off at rate 1e-8."""
+    if m <= 1:
+        return (0.0, 1.0) if m <= 0 else (math.exp(-lam), -math.expm1(-lam))
+    out = m > lam
+    k, log_lam, terms = (m if out else m - 1), math.log(lam), []
+    while k >= 0:
+        terms.append(math.exp(k * log_lam - lam - math.lgamma(k + 1)))
+        if terms[-1] <= 2.0**-70 * terms[0]:
+            break
+        k += 1 if out else -1
+    side = math.fsum(terms)
+    return (1.0 - side, side) if out else (side, 1.0 - side)
+
+
+def level_tau(levels: LevelDistribution, lam: float) -> tuple[float, float]:
+    """Unfilled probability tau(lam) of one cell and its rate derivative:
+    E h and E h (x - lam) / lam of the unfilled lookup kernel."""
+    if not (lam > 0.0) or not math.isfinite(lam):
+        raise ModelValidationError(f"rate must be a positive finite real, got {lam}")
+    tau, cov, _ = _lookup_moments(Kernel.unfilled(levels).lookup, np.array([float(lam)]))
+    return float(tau[0]), float(cov[0]) / lam
 
 
 def _power_weight_sum(probs: np.ndarray, exponent: float) -> float:
@@ -864,24 +914,3 @@ def _very_sparse_closed(model, kernel, frame) -> MomentSummary:
         beta3=math.nan, beta4=math.nan, frame="power", approximate=True,
     )
     return summary if fmap is _IDENTITY else fmap.summary(summary, n, frame)
-
-
-# -- unfilled-cell helpers ---------------------------------------------------
-
-def level_tau(levels: LevelDistribution, lam: float) -> tuple[float, float]:
-    """Unfilled probability of one cell and its rate derivative.
-
-    tau(lam) = sum_l P{count = l} P{level > l} and
-    tau'(lam) = -sum_l P{count = l} P{level = l + 1}; both are finite
-    sums because the level distribution has bounded support.
-    """
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise ModelValidationError(f"rate must be a positive finite real, got {lam}")
-    top = levels.max_level
-    tau = math.fsum(
-        poisson_pmf(l, lam) * levels.survival(l) for l in range(top)
-    )
-    tau_prime = -math.fsum(
-        poisson_pmf(l, lam) * levels.prob(l + 1) for l in range(top)
-    )
-    return tau, tau_prime

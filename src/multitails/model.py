@@ -150,6 +150,8 @@ class MultinomialModel:
 
 def uniform_model(n: int, num_cells: int) -> MultinomialModel:
     """All cells equally likely."""
+    if num_cells < 1:
+        raise ModelValidationError(f"a model needs at least 2 cells, got {num_cells}")
     probs = np.full(num_cells, 1.0 / num_cells)
     return MultinomialModel(n=n, probs=probs, family="uniform")
 

@@ -54,16 +54,21 @@ _BLOCK_ROWS = 2**16
 _BLOCK_COUNTS = 2**22
 
 
-def multinomial_log_pmf(counts, model: MultinomialModel) -> float:
-    """Exact log probability of one count vector."""
+def _count_list(counts, model: MultinomialModel) -> list[int]:
+    """The counts of one vector as a list, checked against the model."""
     c = np.asarray(counts)
     if c.shape != model.probs.shape or c.sum() != model.n or (c < 0).any():
         raise EvaluationError(
             f"count vector must be nonnegative with shape {model.probs.shape} "
             f"summing to {model.n}"
         )
+    return c.tolist()
+
+
+def multinomial_log_pmf(counts, model: MultinomialModel) -> float:
+    """Exact log probability of one count vector."""
     terms = [math.lgamma(model.n + 1)]
-    for ci, pi in zip(c.tolist(), model.probs.tolist()):
+    for ci, pi in zip(_count_list(counts, model), model.probs.tolist()):
         terms.append(-math.lgamma(ci + 1))
         if ci:
             terms.append(ci * math.log(pi))
@@ -81,17 +86,10 @@ def conditioned_poisson_log_pmf(counts, model: MultinomialModel) -> float:
     with the multinomial log pmf identically and provides an independent
     route for tests.
     """
-    c = np.asarray(counts)
-    if c.shape != model.probs.shape or c.sum() != model.n or (c < 0).any():
-        raise EvaluationError(
-            f"count vector must be nonnegative with shape {model.probs.shape} "
-            f"summing to {model.n}"
-        )
     n = model.n
-    rates = model.rates
     log_joint = math.fsum(
         ci * math.log(lam) - lam - math.lgamma(ci + 1)
-        for ci, lam in zip(c.tolist(), rates.tolist())
+        for ci, lam in zip(_count_list(counts, model), model.rates.tolist())
     )
     log_total = n * math.log(n) - n - math.lgamma(n + 1)
     return log_joint - log_total

@@ -78,19 +78,8 @@ class TailResult:
     clamped: bool
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "side": self.side,
-            "p_first_order": self.p_first_order,
-            "correction_exponent": self.correction_exponent,
-            "p_corrected": self.p_corrected,
-            "log_p_first_order": self.log_p_first_order,
-            "log_p_corrected": self.log_p_corrected,
-            "zone": self.zone,
-            "in_zone": self.in_zone,
-            "rule": self.rule,
-            "clamped": self.clamped,
-        }
+        # vars holds the fields in declaration order
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def min_positive_level(levels) -> int:
 def lead_coefficient(levels) -> float:
     """P{level = G} / G! for G the smallest positive level."""
     g = min_positive_level(levels)
-    return levels.prob(g) / math.factorial(g)
+    return dict(levels.pmf).get(g, 0.0) / math.factorial(g)
 
 
 def tau_sparse_approx(levels, lam: float) -> float:

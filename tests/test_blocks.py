@@ -17,9 +17,9 @@ from multitails.kernels import (
 from multitails.model import explicit_model, uniform_model
 from multitails.oracle import _ALIAS_MAX_FILL, _block_rows, mc_tail_estimate
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 # every example starts two process pools
-POOLED = settings(max_examples=6, deadline=None, derandomize=True, database=None)
+POOLED = settings(max_examples=6)
 
 LEVELS = LevelDistribution(((0, 0.2), (1, 0.3), (3, 0.5)))
 

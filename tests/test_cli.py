@@ -568,6 +568,10 @@ class TestExitCodes:
             # every weight is finite, but their sum overflows
             ["moments", "--model", "powerlaw", "--n", "64", "--cells", "1000",
              "--alpha=-102.66", "--kernel", "pds:1"],
+            ["moments", "--model", "uniform", "--n", "10", "--cells", "0", "--kernel", "pds:1"],
+            ["moments", "--model", "uniform", "--n", "10", "--cells", "-3", "--kernel", "pds:1"],
+            # a table up to level 10^20 would never be built
+            ["moments", "--n", "10", "--cells", "4", "--kernel", "unfilled:{huge}"],
         ],
         ids=[
             "probs-missing", "probs-malformed", "ell-missing", "ell-malformed",
@@ -575,13 +579,16 @@ class TestExitCodes:
             "negative-cells", "nan-zone-fraction", "simulate-nan-zone-fraction",
             "rngtest-nan-zone-fraction", "rngtest-negative-zone-fraction",
             "simulate-zero-workers", "simulate-negative-seed", "tail-exponent-overflow",
-            "powerlaw-weight-sum-overflow",
+            "powerlaw-weight-sum-overflow", "uniform-zero-cells", "uniform-negative-cells",
+            "levels-huge",
         ],
     )
     def test_bad_outside_input(self, capsys, tmp_path, argv):
         (tmp_path / "malformed.txt").write_text("half,0.5\n0.5\n")
         (tmp_path / "empty.bin").write_bytes(b"")
+        (tmp_path / "huge.txt").write_text("1,0.5\n100000000000000000000,0.5\n")
         paths = {
+            "huge": str(tmp_path / "huge.txt"),
             "missing": str(tmp_path / "missing.txt"),
             "malformed": str(tmp_path / "malformed.txt"),
             "empty": str(tmp_path / "empty.bin"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from multitails import cli
 from multitails.cli import _json_text, main
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=300)
 
 # the last three mimic the item text that the record fast path looks for
 texts = st.one_of(

@@ -18,7 +18,7 @@ from multitails.kernels import (
 )
 from multitails.model import explicit_model, uniform_model
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 
 scales = st.floats(0.25, 4.0).flatmap(lambda a: st.sampled_from([a, -a]))
 maps = st.builds(FrameMap, scales, st.floats(-4.0, 4.0), st.floats(-1e3, 1e3))
@@ -126,7 +126,7 @@ def test_count_families_are_images_of_empty_cells(model_counts):
         assert statistic_value(kernel, model, counts) == fmap.value(empty, model.n)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=15)
 @given(models_and_counts())
 def test_count_family_summaries_are_mapped_empty_cell_summary(model_counts):
     model, _ = model_counts

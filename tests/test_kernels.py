@@ -879,7 +879,7 @@ def _model_with_rates(rates):
 class TestWindowTables:
     """The table engine against scalar walks, and its independence of chunking."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(
         form=st.sampled_from(TABLE_FORMS),
         # windows start at 0 up to a rate of about 233 and above 0 past it
@@ -971,3 +971,175 @@ class TestAutoCrossCheck:
         model = explicit_model(20, [0.1, 0.15, 0.25, 0.5])
         summary = moment_summary(model, kernel, method="auto")
         assert summary.var > 0.0
+
+    def test_scale_aware_on_noise_below_one(self):
+        # the series tau is -1.4e-16 of rounding noise against an exact
+        # 2.4e-19: the floor accepts it
+        model = uniform_model(500, 10)
+        kernel = Kernel.count_at_least(3)
+        series = moment_summary(model, kernel, method="series")
+        assert abs(series.tau) > 100 * kernels._closed_moments(model, kernel, "canonical")[1]
+        moment_summary(model, kernel, method="auto")
+
+    def test_rejects_cancelled_at_least_variance(self, monkeypatch):
+        # the raw variance once formed as occ (1 - occ) with occ = 1 - P{x < 2}
+        # was 27% off at rate 40; an absolute 1e-8 floor let it through
+        model = uniform_model(400, 10)
+        exact = kernels._closed_moments
+
+        def cancelled(model, kernel, frame):
+            mean, tau, _, occ = exact(model, kernel, frame)
+            o = 1.0 - math.fsum(poisson_pmf(k, 40.0) for k in range(2))
+            return mean, tau, 10 * o * (1.0 - o), occ
+
+        moment_summary(model, Kernel.count_at_least(2), method="auto")
+        monkeypatch.setattr(kernels, "_closed_moments", cancelled)
+        with pytest.raises(EvaluationError, match="disagree on var"):
+            moment_summary(model, Kernel.count_at_least(2), method="auto")
+
+
+def _one_rate(lam):
+    """A stand-in model of one cell at rate lam, all the closed forms read."""
+    rates, mults = np.array([lam]), np.array([1.0])
+    return types.SimpleNamespace(n=lam, rate_groups=lambda: (rates, mults))
+
+
+def _mp_lookup_moments(kernel, lam):
+    """(E h, E h (x - lam) / lam, E h E (1 - h)) of a count or unfilled kernel
+    at rate lam in 50-digit mpmath, from the kernel's own survival floats."""
+    if kernel.family == "unfilled":
+        top = kernel.levels.max_level
+        first, values, tail = 0, [kernel.levels.survival(k) for k in range(top)], 0
+    else:
+        exact = kernel.family == "count_exact"
+        first, values, tail = kernel.r, [1.0] * exact, 1 - exact
+    last = first + len(values)
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        pmf = [mpmath.exp(-lam) * lam**k / mpmath.factorial(k) for k in range(last)]
+        # P{x >= last}, and E (x - lam) 1{x >= last} = lam P{x = last - 1}
+        above = mpmath.gammainc(last, 0, lam, regularized=True) if last else mpmath.mpf(1)
+        rows = [(mpmath.mpf(v), pmf[first + i]) for i, v in enumerate(values)]
+        mean = mpmath.fsum(v * p for v, p in rows) + tail * above
+        cov = mpmath.fsum(v * (first + i - lam) * p for i, (v, p) in enumerate(rows))
+        cov += tail * lam * pmf[last - 1] if last else 0
+        rest = mpmath.fsum((1 - v) * p for v, p in rows) + (1 - tail) * above
+        rest += mpmath.fsum(pmf[:first])
+        return float(mean), float(cov / lam), float(mean * rest)
+
+
+class TestLookupKernels:
+    """count:r, atleast:r and unfilled as one bounded lookup with one closed form."""
+
+    @pytest.mark.parametrize(
+        "kernel, want",
+        [
+            (Kernel.count_exact(3), (3, [1.0], 0.0)),
+            (Kernel.count_at_least(2), (2, [], 1.0)),
+            (Kernel.unfilled(TWO_LEVEL), (0, [1.0, 0.3], 0.0)),
+            (Kernel.unfilled(LevelDistribution(((0, 0.5), (3, 0.5)))), (0, [0.5] * 3, 0.0)),
+            (Kernel.pds(1.0), None),
+            (Kernel.collisions(), None),
+        ],
+        ids=lambda v: v.describe() if isinstance(v, Kernel) else "",
+    )
+    def test_lookups(self, kernel, want):
+        lookup = kernel.lookup
+        got = None if lookup is None else (lookup[0], lookup[1].tolist(), lookup[2])
+        assert got == want
+
+    # HEAD formed the first four by cancelling complements: 1.3e-4, 4.9e-11,
+    # 4.0e-3 and 1.3e-9 off in their raw variances
+    @pytest.mark.parametrize(
+        "kernel, lam, rtol",
+        [
+            (Kernel.count_at_least(2), 1e-6, 1e-13),
+            (Kernel.count_at_least(2), 1e-3, 1e-13),
+            (Kernel.unfilled(LevelDistribution.constant(40)), 10.0, 1e-13),
+            (Kernel.unfilled(LevelDistribution(((3, 0.5), (8, 0.5)))), 0.01, 1e-13),
+            (Kernel.count_exact(10), 10.0, 1e-13),
+            (Kernel.count_exact(10), 10.5, 1e-13),
+            (Kernel.count_exact(11), 10.5, 1e-13),
+            (Kernel.count_exact(0), 1e-8, 1e-15),
+            (Kernel.count_exact(3), 0.7, 1e-14),
+            (Kernel.count_at_least(5), 40.0, 1e-14),
+            (Kernel.unfilled(TWO_LEVEL), 2.5, 1e-14),
+            # each Stein step is written on a count where the kernel is not
+            # 0: on P(999) and P(1000) the two steps of count:1000 cancel to
+            # 4.9e-10, against the pmf's own 4.6e-13
+            (Kernel.count_exact(1000), 1000.5, 1e-11),
+        ],
+        ids=lambda v: v.describe() if isinstance(v, Kernel) else repr(v),
+    )
+    def test_closed_form_against_mpmath(self, kernel, lam, rtol):
+        mean, tau, raw_var, _ = kernels._closed_moments(_one_rate(lam), kernel, "canonical")
+        for got, want in zip((mean, tau, raw_var), _mp_lookup_moments(kernel, lam)):
+            assert got == pytest.approx(want, rel=rtol, abs=0.0)
+
+    @settings(max_examples=60)
+    @given(
+        kernel=st.one_of(
+            st.integers(0, 12).map(Kernel.count_exact),
+            st.integers(1, 12).map(Kernel.count_at_least),
+            st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True)
+            .filter(lambda ls: max(ls) > 0)
+            .map(lambda ls: tuple((l, 1.0 / len(ls)) for l in ls))
+            .map(lambda pmf: Kernel.unfilled(LevelDistribution(pmf))),
+        ),
+        counts=st.lists(st.integers(0, 30), min_size=1, max_size=24),
+        rows=st.integers(1, 3),
+    )
+    def test_table_is_the_kernel(self, kernel, counts, rows):
+        # whole blocks, and float window counts, reach past every table
+        block = np.array(counts * rows).reshape(rows, -1)
+        if kernel.family == "count_exact":
+            want = (block == kernel.r).astype(float)
+        elif kernel.family == "count_at_least":
+            want = (block >= kernel.r).astype(float)
+        else:
+            want = np.vectorize(kernel.levels.survival)(block)
+        for k in (block, block.astype(float)):
+            got = kernels._kernel_table(kernel, "canonical", k, np.ones((rows, 1)))
+            assert got.tolist() == want.tolist()
+
+    @settings(max_examples=40)
+    @given(
+        pmf=st.lists(
+            st.tuples(st.integers(0, 15), st.floats(0.05, 1.0)), min_size=1, max_size=5,
+            unique_by=lambda t: t[0],
+        ).filter(lambda ps: max(l for l, _ in ps) > 0),
+        weights=st.lists(st.floats(0.2, 5.0), min_size=2, max_size=6),
+        n=st.integers(1, 60),
+    )
+    def test_series_agrees_with_closed_form(self, pmf, weights, n):
+        total = math.fsum(p for _, p in pmf)
+        kernel = Kernel.unfilled(LevelDistribution(tuple((l, p / total) for l, p in pmf)))
+        model = explicit_model(n, np.array(weights) / math.fsum(weights))
+        try:
+            series = moment_summary(model, kernel, method="series")
+        except DegenerateVarianceError:
+            return
+        kernels._cross_check(model, series, kernels._closed_moments(model, kernel, "canonical"))
+
+    def test_closed_form_work_does_not_grow_with_r(self, monkeypatch):
+        # every pmf term takes one lgamma; a sum to r would take r of them
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+        work = {}
+        for r in (10, 10**3, 10**6, 10**20):
+            calls.clear()
+            kernels._closed_moments(_one_rate(2.0), Kernel.count_at_least(r), "canonical")
+            work[r] = len(calls)
+        assert max(work.values()) == work[10] < 30
+
+    def test_huge_r_reads_zero(self):
+        model = uniform_model(64, 32)
+        with pytest.raises(DegenerateVarianceError):
+            moment_summary(model, Kernel.count_at_least(10**20), method="closed_form")
+        counts = np.full((2, 32), 2)
+        assert statistic_value(Kernel.count_exact(10**20), model, counts).tolist() == [0.0, 0.0]
+
+    def test_level_above_the_cap(self):
+        with pytest.raises(ModelValidationError, match=str(10**20)):
+            LevelDistribution(((1, 0.5), (10**20, 0.5)))

@@ -302,7 +302,7 @@ def _chained_merge(values, probs):
     return tuple(merged_v), tuple(merged_p)
 
 
-WALK_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+WALK_PROPERTY = settings(max_examples=100)
 
 count_kernels = st.one_of(
     st.sampled_from([1.0, 0.0, -0.5, 2.0 / 3.0, 0.5]).map(Kernel.pds),
@@ -435,7 +435,7 @@ def normalized(weights):
     return np.array([w / total for w in weights])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(probability_lists)
 @example([1.0])
 @example([0.0, 1.0])

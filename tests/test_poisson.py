@@ -224,7 +224,7 @@ bad_values = st.none() | st.tuples(
 )
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(
     # windows start at 0 up to a rate of about 233 and above 0 past it
     lam=st.floats(0.05, 2000.0) | st.floats(225.0, 245.0),
@@ -263,7 +263,7 @@ def test_tuple_entries_equal_scalar_expectations(lam, params, bad):
         assert expect_fn(lambda k: tuple(f(k) for f in fns), lam) == tuple(scalars)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     width=st.integers(1, 40) | st.integers(41, 8000),
     seed=st.integers(0, 2**32 - 1),
